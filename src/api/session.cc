@@ -13,11 +13,43 @@ namespace tasti::api {
 
 namespace {
 
+using queries::QueryKind;
+
 std::string FmtDouble(double v) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%g", v);
   return buf;
 }
+
+// The query-log params column for one query.
+std::string QueryParams(const queries::QuerySpec& spec) {
+  const std::string predicate = "predicate=" + spec.scorer->Name();
+  switch (spec.kind) {
+    case QueryKind::kAggregate:
+      return "scorer=" + spec.scorer->Name() +
+             " error_target=" + FmtDouble(spec.error_target);
+    case QueryKind::kAggregateWhere:
+      return predicate + " statistic=" + spec.statistic->Name() +
+             " error_target=" + FmtDouble(spec.error_target);
+    case QueryKind::kSupgRecall:
+      return predicate + " recall_target=" + FmtDouble(spec.target) +
+             " budget=" + std::to_string(spec.budget);
+    case QueryKind::kSupgPrecision:
+      return predicate + " precision_target=" + FmtDouble(spec.target) +
+             " budget=" + std::to_string(spec.budget);
+    case QueryKind::kThresholdSelect:
+      return predicate +
+             " validation_budget=" + std::to_string(spec.validation_budget);
+    case QueryKind::kLimit:
+      return predicate + " want=" + std::to_string(spec.want);
+  }
+  return predicate;
+}
+
+// Trace span of a session query, indexed by QueryKind.
+constexpr const char* kQuerySpans[] = {
+    "query.aggregate",        "query.aggregate_where", "query.select_recall",
+    "query.select_precision", "query.select",          "query.limit"};
 
 }  // namespace
 
@@ -56,8 +88,8 @@ void TastiSession::EnsureIndex() {
 }
 
 uint64_t TastiSession::NextSeed() {
-  return DeriveQuerySeed(options_.seed,
-                         static_cast<uint64_t>(++queries_executed_));
+  return queries::DeriveQuerySeed(options_.seed,
+                                  static_cast<uint64_t>(++queries_executed_));
 }
 
 const std::vector<double>& TastiSession::ProxyScores(
@@ -105,7 +137,7 @@ size_t TastiSession::RepairFailedReps() {
 
 void TastiSession::FinishQuery(const labeler::CachingFallibleLabeler& cache,
                                size_t invocations_before,
-                               std::string query_type, std::string params,
+                               const queries::QuerySpec& spec,
                                double algorithm_seconds, double oracle_seconds,
                                size_t failed_oracle_calls) {
   // Repairs run inside the query's accounting window so the attribution
@@ -120,15 +152,8 @@ void TastiSession::FinishQuery(const labeler::CachingFallibleLabeler& cache,
   if (options_.auto_crack) {
     TASTI_SPAN("session.crack");
     WallTimer timer;
-    const std::vector<size_t>& labeled = cache.labeled_indices();
-    std::vector<data::LabelerOutput> labels;
-    labels.reserve(labeled.size());
-    for (size_t record : labeled) {
-      std::optional<data::LabelerOutput> label = cache.CachedLabel(record);
-      TASTI_CHECK(label.has_value(), "labeled index without a cached label");
-      labels.push_back(*std::move(label));
-    }
-    cracked = index_->CrackFromLabels(labeled, labels);
+    cracked = index_->CrackFromLabels(cache.labeled_indices(),
+                                      cache.labeled_outputs());
     crack_seconds = timer.Seconds();
     if (cracked > 0) {
       // New representatives change every propagated score.
@@ -137,8 +162,8 @@ void TastiSession::FinishQuery(const labeler::CachingFallibleLabeler& cache,
   }
 
   obs::QueryRecord record;
-  record.query_type = std::move(query_type);
-  record.params = std::move(params);
+  record.query_type = queries::QueryKindName(spec.kind);
+  record.params = QueryParams(spec);
   record.phases.rep_score_seconds = last_proxy_timings_.rep_score_seconds;
   record.phases.propagation_seconds = last_proxy_timings_.propagation_seconds;
   record.phases.algorithm_seconds = algorithm_seconds;
@@ -173,189 +198,77 @@ void TastiSession::FinishQuery(const labeler::CachingFallibleLabeler& cache,
   }
 }
 
-queries::AggregationResult TastiSession::Aggregate(const core::Scorer& statistic,
-                                                   double error_target) {
-  TASTI_SPAN("query.aggregate");
+queries::QueryAnswer TastiSession::Execute(const queries::QuerySpec& spec) {
+  TASTI_SPAN(kQuerySpans[static_cast<size_t>(spec.kind)]);
   last_proxy_timings_ = {};
-  const std::vector<double> proxy = ProxyScores(statistic);
+  const std::vector<double>& proxy =
+      ProxyScores(*spec.scorer, queries::PropagationModeFor(spec.kind));
   const size_t before = oracle_->invocations();
   labeler::CachingFallibleLabeler cache(oracle_);
-  queries::AggregationOptions opts;
-  opts.error_target = error_target;
-  opts.confidence = options_.confidence;
-  opts.seed = NextSeed();
+  const uint64_t seed = NextSeed();
   WallTimer algo_timer;
   obs::TimedOracle timed(&cache, &algo_timer);
-  Result<queries::AggregationResult> r =
-      queries::TryEstimateMean(proxy, &timed, statistic, opts);
+  queries::QueryAnswer answer = queries::ExecuteQuery(
+      spec, proxy, &timed, options_.confidence, seed);
   algo_timer.Pause();
-  last_query_status_ = r.status();
-  queries::AggregationResult result =
-      r.ok() ? std::move(r).value() : queries::AggregationResult{};
-  if (!last_query_status_.ok()) {
-    result.failed_oracle_calls = oracle_->invocations() - before;
-  }
-  FinishQuery(cache, before, "aggregate",
-              "scorer=" + statistic.Name() +
-                  " error_target=" + FmtDouble(error_target),
-              algo_timer.Seconds(), timed.seconds(),
-              result.failed_oracle_calls);
-  return result;
+  last_query_status_ = answer.status;
+  size_t& failed = answer.failed_oracle_calls();
+  if (!answer.status.ok()) failed = oracle_->invocations() - before;
+  FinishQuery(cache, before, spec, algo_timer.Seconds(), timed.seconds(),
+              failed);
+  return answer;
+}
+
+queries::AggregationResult TastiSession::Aggregate(const core::Scorer& statistic,
+                                                   double error_target) {
+  return Execute({.kind = QueryKind::kAggregate,
+                  .scorer = &statistic,
+                  .error_target = error_target})
+      .aggregate;
 }
 
 queries::PredicateAggregationResult TastiSession::AggregateWhere(
     const core::Scorer& predicate, const core::Scorer& statistic,
     double error_target) {
-  TASTI_SPAN("query.aggregate_where");
-  last_proxy_timings_ = {};
-  const std::vector<double> proxy = ProxyScores(predicate);
-  const size_t before = oracle_->invocations();
-  labeler::CachingFallibleLabeler cache(oracle_);
-  queries::PredicateAggregationOptions opts;
-  opts.error_target = error_target;
-  opts.confidence = options_.confidence;
-  opts.seed = NextSeed();
-  WallTimer algo_timer;
-  obs::TimedOracle timed(&cache, &algo_timer);
-  Result<queries::PredicateAggregationResult> r =
-      queries::TryEstimateMeanWithPredicate(proxy, &timed, predicate,
-                                            statistic, opts);
-  algo_timer.Pause();
-  last_query_status_ = r.status();
-  queries::PredicateAggregationResult result =
-      r.ok() ? std::move(r).value() : queries::PredicateAggregationResult{};
-  if (!last_query_status_.ok()) {
-    result.failed_oracle_calls = oracle_->invocations() - before;
-  }
-  FinishQuery(cache, before, "aggregate_where",
-              "predicate=" + predicate.Name() + " statistic=" +
-                  statistic.Name() + " error_target=" + FmtDouble(error_target),
-              algo_timer.Seconds(), timed.seconds(),
-              result.failed_oracle_calls);
-  return result;
+  return Execute({.kind = QueryKind::kAggregateWhere,
+                  .scorer = &predicate,
+                  .statistic = &statistic,
+                  .error_target = error_target})
+      .aggregate_where;
 }
 
 queries::SupgResult TastiSession::SelectWithRecall(const core::Scorer& predicate,
                                                    double recall_target,
                                                    size_t budget) {
-  TASTI_SPAN("query.select_recall");
-  last_proxy_timings_ = {};
-  const std::vector<double> proxy = ProxyScores(predicate);
-  const size_t before = oracle_->invocations();
-  labeler::CachingFallibleLabeler cache(oracle_);
-  queries::SupgOptions opts;
-  opts.recall_target = recall_target;
-  opts.confidence = options_.confidence;
-  opts.budget = budget;
-  opts.seed = NextSeed();
-  WallTimer algo_timer;
-  obs::TimedOracle timed(&cache, &algo_timer);
-  Result<queries::SupgResult> r =
-      queries::TrySupgRecallSelect(proxy, &timed, predicate, opts);
-  algo_timer.Pause();
-  last_query_status_ = r.status();
-  queries::SupgResult result = r.ok() ? std::move(r).value()
-                                      : queries::SupgResult{};
-  if (!last_query_status_.ok()) {
-    result.failed_oracle_calls = oracle_->invocations() - before;
-  }
-  FinishQuery(cache, before, "supg_recall",
-              "predicate=" + predicate.Name() +
-                  " recall_target=" + FmtDouble(recall_target) +
-                  " budget=" + std::to_string(budget),
-              algo_timer.Seconds(), timed.seconds(),
-              result.failed_oracle_calls);
-  return result;
+  return Execute({.kind = QueryKind::kSupgRecall,
+                  .scorer = &predicate,
+                  .target = recall_target,
+                  .budget = budget})
+      .supg;
 }
 
 queries::SupgResult TastiSession::SelectWithPrecision(
     const core::Scorer& predicate, double precision_target, size_t budget) {
-  TASTI_SPAN("query.select_precision");
-  last_proxy_timings_ = {};
-  const std::vector<double> proxy = ProxyScores(predicate);
-  const size_t before = oracle_->invocations();
-  labeler::CachingFallibleLabeler cache(oracle_);
-  queries::SupgPrecisionOptions opts;
-  opts.precision_target = precision_target;
-  opts.confidence = options_.confidence;
-  opts.budget = budget;
-  opts.seed = NextSeed();
-  WallTimer algo_timer;
-  obs::TimedOracle timed(&cache, &algo_timer);
-  Result<queries::SupgResult> r =
-      queries::TrySupgPrecisionSelect(proxy, &timed, predicate, opts);
-  algo_timer.Pause();
-  last_query_status_ = r.status();
-  queries::SupgResult result = r.ok() ? std::move(r).value()
-                                      : queries::SupgResult{};
-  if (!last_query_status_.ok()) {
-    result.failed_oracle_calls = oracle_->invocations() - before;
-  }
-  FinishQuery(cache, before, "supg_precision",
-              "predicate=" + predicate.Name() +
-                  " precision_target=" + FmtDouble(precision_target) +
-                  " budget=" + std::to_string(budget),
-              algo_timer.Seconds(), timed.seconds(),
-              result.failed_oracle_calls);
-  return result;
+  return Execute({.kind = QueryKind::kSupgPrecision,
+                  .scorer = &predicate,
+                  .target = precision_target,
+                  .budget = budget})
+      .supg;
 }
 
 queries::ThresholdSelectResult TastiSession::Select(const core::Scorer& predicate,
                                                     size_t validation_budget) {
-  TASTI_SPAN("query.select");
-  last_proxy_timings_ = {};
-  const std::vector<double> proxy = ProxyScores(predicate);
-  const size_t before = oracle_->invocations();
-  labeler::CachingFallibleLabeler cache(oracle_);
-  queries::ThresholdSelectOptions opts;
-  opts.validation_budget = validation_budget;
-  opts.seed = NextSeed();
-  WallTimer algo_timer;
-  obs::TimedOracle timed(&cache, &algo_timer);
-  Result<queries::ThresholdSelectResult> r =
-      queries::TryThresholdSelect(proxy, &timed, predicate, opts);
-  algo_timer.Pause();
-  last_query_status_ = r.status();
-  queries::ThresholdSelectResult result =
-      r.ok() ? std::move(r).value() : queries::ThresholdSelectResult{};
-  if (!last_query_status_.ok()) {
-    result.failed_oracle_calls = oracle_->invocations() - before;
-  }
-  FinishQuery(cache, before, "threshold_select",
-              "predicate=" + predicate.Name() + " validation_budget=" +
-                  std::to_string(validation_budget),
-              algo_timer.Seconds(), timed.seconds(),
-              result.failed_oracle_calls);
-  return result;
+  return Execute({.kind = QueryKind::kThresholdSelect,
+                  .scorer = &predicate,
+                  .validation_budget = validation_budget})
+      .select;
 }
 
 queries::LimitResult TastiSession::Limit(const core::Scorer& predicate,
                                          size_t want) {
-  TASTI_SPAN("query.limit");
-  last_proxy_timings_ = {};
-  const std::vector<double> ranking =
-      ProxyScores(predicate, core::PropagationMode::kLimit);
-  const size_t before = oracle_->invocations();
-  labeler::CachingFallibleLabeler cache(oracle_);
-  queries::LimitOptions opts;
-  opts.want = want;
-  WallTimer algo_timer;
-  obs::TimedOracle timed(&cache, &algo_timer);
-  Result<queries::LimitResult> r =
-      queries::TryLimitQuery(ranking, &timed, predicate, opts);
-  algo_timer.Pause();
-  last_query_status_ = r.status();
-  queries::LimitResult result = r.ok() ? std::move(r).value()
-                                       : queries::LimitResult{};
-  if (!last_query_status_.ok()) {
-    result.failed_oracle_calls = oracle_->invocations() - before;
-  }
-  ++queries_executed_;
-  FinishQuery(cache, before, "limit",
-              "predicate=" + predicate.Name() + " want=" + std::to_string(want),
-              algo_timer.Seconds(), timed.seconds(),
-              result.failed_oracle_calls);
-  return result;
+  return Execute(
+             {.kind = QueryKind::kLimit, .scorer = &predicate, .want = want})
+      .limit;
 }
 
 double TastiSession::EstimateDirect(const core::Scorer& statistic) {

@@ -33,21 +33,9 @@
 #include "labeler/labeler.h"
 #include "labeler/resilient.h"
 #include "obs/query_log.h"
-#include "queries/aggregation.h"
-#include "queries/limit.h"
-#include "queries/noguarantee.h"
-#include "queries/predicate_aggregation.h"
-#include "queries/supg.h"
+#include "queries/executor.h"
 
 namespace tasti::api {
-
-/// Deterministic per-query seed: the stream a session (or the serving
-/// layer) hands query number `n` (1-based) under base seed `base`. Shared
-/// by TastiSession and serve::TastiServer so a served query with a known
-/// id draws the same randomness regardless of scheduling interleaving.
-inline uint64_t DeriveQuerySeed(uint64_t base, uint64_t n) {
-  return base * 2654435761ULL + n * 97;
-}
 
 /// Session-wide configuration.
 struct SessionOptions {
@@ -82,6 +70,13 @@ class TastiSession {
                SessionOptions options);
 
   // --- Queries (each consumes target-labeler invocations) ---
+
+  /// Runs any query kind through the shared executor (queries/executor.h),
+  /// the same path serve::TastiServer::Execute takes. The session's own
+  /// proxy cache supplies the scores; the labels bought crack the index
+  /// afterwards. Deadlines, client ids and priorities in `spec` are serving
+  /// concerns and are ignored here. The typed methods below wrap this.
+  queries::QueryAnswer Execute(const queries::QuerySpec& spec);
 
   /// Mean of `statistic` over all records, within `error_target` with the
   /// session confidence (BlazeIt-style EBS with the index's proxy).
@@ -176,9 +171,9 @@ class TastiSession {
   // pauses the timer inside oracle calls); `oracle_seconds` is the wall
   // time inside those calls.
   void FinishQuery(const labeler::CachingFallibleLabeler& cache,
-                   size_t invocations_before, std::string query_type,
-                   std::string params, double algorithm_seconds,
-                   double oracle_seconds, size_t failed_oracle_calls);
+                   size_t invocations_before, const queries::QuerySpec& spec,
+                   double algorithm_seconds, double oracle_seconds,
+                   size_t failed_oracle_calls);
 
   const data::Dataset* dataset_;
   labeler::FallibleLabeler* oracle_ = nullptr;
@@ -194,7 +189,7 @@ class TastiSession {
   Status last_query_status_ = Status::OK();
   obs::QueryLog query_log_;
   // Proxy phase times of the current query; zero when ProxyScores hits
-  // its cache. Reset by each query method before calling ProxyScores.
+  // its cache. Reset by Execute before calling ProxyScores.
   core::ProxyTimings last_proxy_timings_;
 };
 

@@ -225,10 +225,12 @@ Result<data::LabelerOutput> CachingFallibleLabeler::TryLabelWithin(
   return r;
 }
 
-std::optional<data::LabelerOutput> CachingFallibleLabeler::CachedLabel(
-    size_t index) const {
-  TASTI_CHECK(index < cache_.size(), "label index out of range");
-  return cache_[index];
+std::vector<data::LabelerOutput> CachingFallibleLabeler::labeled_outputs()
+    const {
+  std::vector<data::LabelerOutput> outputs;
+  outputs.reserve(labeled_order_.size());
+  for (size_t index : labeled_order_) outputs.push_back(*cache_[index]);
+  return outputs;
 }
 
 void CachingFallibleLabeler::ClearCache() {

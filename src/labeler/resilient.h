@@ -185,8 +185,9 @@ class CachingFallibleLabeler : public FallibleLabeler {
   /// Indices successfully labeled so far, in first-label order.
   const std::vector<size_t>& labeled_indices() const { return labeled_order_; }
 
-  /// Cached output for `index`, if a call for it has succeeded.
-  std::optional<data::LabelerOutput> CachedLabel(size_t index) const;
+  /// Cached outputs of labeled_indices(), in the same order: the labels a
+  /// query bought, ready to crack the index with.
+  std::vector<data::LabelerOutput> labeled_outputs() const;
 
   /// Drops the cache (keeps the inner labeler's invocation count).
   void ClearCache();

@@ -4,7 +4,6 @@
 #include <chrono>
 #include <utility>
 
-#include "api/session.h"
 #include "core/serialize.h"
 #include "labeler/resilient.h"
 #include "obs/metrics.h"
@@ -57,18 +56,6 @@ double SteadyNowMs() {
 }
 
 }  // namespace
-
-const char* QueryKindName(QueryKind kind) {
-  switch (kind) {
-    case QueryKind::kAggregate: return "aggregate";
-    case QueryKind::kAggregateWhere: return "aggregate_where";
-    case QueryKind::kSupgRecall: return "supg_recall";
-    case QueryKind::kSupgPrecision: return "supg_precision";
-    case QueryKind::kThresholdSelect: return "threshold_select";
-    case QueryKind::kLimit: return "limit";
-  }
-  return "unknown";
-}
 
 TastiServer::TastiServer(const data::Dataset* dataset,
                          labeler::FallibleLabeler* oracle,
@@ -570,13 +557,11 @@ QueryResponse TastiServer::RunQuery(PendingQuery pending) {
   std::shared_ptr<const IndexSnapshot> snapshot = epochs_.Acquire();
   response.epoch = snapshot->epoch;
 
-  const core::PropagationMode mode = spec.kind == QueryKind::kLimit
-                                         ? core::PropagationMode::kLimit
-                                         : core::PropagationMode::kNumeric;
   core::ProxyTimings proxy_timings;
   ScoreCache::Outcome proxy_outcome;
   std::shared_ptr<const core::PropagationState> proxy =
-      score_cache_.GetOrCompute(*snapshot, *spec.scorer, mode, {},
+      score_cache_.GetOrCompute(*snapshot, *spec.scorer,
+                                queries::PropagationModeFor(spec.kind), {},
                                 &proxy_timings, &proxy_outcome);
   response.proxy_source = proxy_outcome.source;
   response.proxy_delta_rows = proxy_outcome.delta_rows;
@@ -605,7 +590,8 @@ QueryResponse TastiServer::RunQuery(PendingQuery pending) {
   // calls never reach the scheduler, so they cost nothing and are never
   // attributed.
   DeadlineOracle gated(&timed, deadline, options_.degrade.virtual_ms_per_call);
-  const uint64_t seed = api::DeriveQuerySeed(options_.seed, pending.query_id);
+  const uint64_t seed =
+      queries::DeriveQuerySeed(options_.seed, pending.query_id);
 
   const bool brownout = options_.degrade.brownout && brownout_.active();
   if (brownout) {
@@ -645,111 +631,11 @@ QueryResponse TastiServer::RunQuery(PendingQuery pending) {
         response.limit = queries::ProxyOnlyLimit(proxy_scores, spec.want);
         break;
     }
-    algo_timer.Pause();
   } else {
-  switch (spec.kind) {
-    case QueryKind::kAggregate: {
-      queries::AggregationOptions opts;
-      opts.error_target = spec.error_target;
-      opts.confidence = options_.confidence;
-      opts.seed = seed;
-      opts.deadline = deadline;
-      Result<queries::AggregationResult> r =
-          queries::TryEstimateMean(proxy_scores, &gated, *spec.scorer, opts);
-      response.status = r.status();
-      if (r.ok()) {
-        response.aggregate = std::move(r).value();
-        response.deadline_hit = response.aggregate.deadline_hit;
-      }
-      break;
-    }
-    case QueryKind::kAggregateWhere: {
-      queries::PredicateAggregationOptions opts;
-      opts.error_target = spec.error_target;
-      opts.confidence = options_.confidence;
-      opts.seed = seed;
-      opts.deadline = deadline;
-      Result<queries::PredicateAggregationResult> r =
-          queries::TryEstimateMeanWithPredicate(proxy_scores, &gated,
-                                                *spec.scorer, *spec.statistic,
-                                                opts);
-      response.status = r.status();
-      if (r.ok()) {
-        response.aggregate_where = std::move(r).value();
-        response.deadline_hit = response.aggregate_where.deadline_hit;
-      }
-      break;
-    }
-    case QueryKind::kSupgRecall: {
-      queries::SupgOptions opts;
-      opts.recall_target = spec.target;
-      opts.confidence = options_.confidence;
-      opts.budget = spec.budget;
-      opts.seed = seed;
-      opts.deadline = deadline;
-      Result<queries::SupgResult> r =
-          queries::TrySupgRecallSelect(proxy_scores, &gated, *spec.scorer,
-                                       opts);
-      response.status = r.status();
-      if (r.ok()) {
-        response.supg = std::move(r).value();
-        response.deadline_hit = response.supg.deadline_hit;
-      }
-      break;
-    }
-    case QueryKind::kSupgPrecision: {
-      queries::SupgPrecisionOptions opts;
-      opts.precision_target = spec.target;
-      opts.confidence = options_.confidence;
-      opts.budget = spec.budget;
-      opts.seed = seed;
-      opts.deadline = deadline;
-      Result<queries::SupgResult> r =
-          queries::TrySupgPrecisionSelect(proxy_scores, &gated, *spec.scorer,
-                                          opts);
-      response.status = r.status();
-      if (r.ok()) {
-        response.supg = std::move(r).value();
-        response.deadline_hit = response.supg.deadline_hit;
-      }
-      break;
-    }
-    case QueryKind::kThresholdSelect: {
-      queries::ThresholdSelectOptions opts;
-      opts.validation_budget = spec.validation_budget;
-      opts.seed = seed;
-      opts.deadline = deadline;
-      Result<queries::ThresholdSelectResult> r =
-          queries::TryThresholdSelect(proxy_scores, &gated, *spec.scorer,
-                                      opts);
-      response.status = r.status();
-      if (r.ok()) {
-        response.select = std::move(r).value();
-        response.deadline_hit = response.select.deadline_hit;
-      }
-      break;
-    }
-    case QueryKind::kLimit: {
-      queries::LimitOptions opts;
-      opts.want = spec.want;
-      opts.deadline = deadline;
-      Result<queries::LimitResult> r =
-          queries::TryLimitQuery(proxy_scores, &gated, *spec.scorer, opts);
-      response.status = r.status();
-      if (r.ok()) {
-        response.limit = std::move(r).value();
-        response.deadline_hit = response.limit.deadline_hit;
-      }
-      break;
-    }
-  }
+    static_cast<queries::QueryAnswer&>(response) = queries::ExecuteQuery(
+        spec, proxy_scores, &gated, options_.confidence, seed, deadline);
   }
   algo_timer.Pause();
-  if (!response.status.ok() &&
-      response.status.code() == StatusCode::kDeadlineExceeded) {
-    // Expired before any sample: no payload, but the cause is recorded.
-    response.deadline_hit = true;
-  }
   if (response.deadline_hit && !brownout) {
     response.degraded = true;
     response.guarantee = GuaranteeLevel::kReduced;
@@ -762,13 +648,7 @@ QueryResponse TastiServer::RunQuery(PendingQuery pending) {
   if (options_.auto_crack) {
     const std::vector<size_t>& labeled = cache.labeled_indices();
     if (!labeled.empty()) {
-      std::vector<data::LabelerOutput> labels;
-      labels.reserve(labeled.size());
-      for (size_t record : labeled) {
-        std::optional<data::LabelerOutput> label = cache.CachedLabel(record);
-        TASTI_CHECK(label.has_value(), "labeled index without a cached label");
-        labels.push_back(*std::move(label));
-      }
+      std::vector<data::LabelerOutput> labels = cache.labeled_outputs();
       if (options_.deterministic) {
         // Deferred: applied sorted by query id at Drain(), so this wave's
         // readers all stay on the submit-time epoch.

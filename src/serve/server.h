@@ -49,11 +49,7 @@
 #include "durable/recovery.h"
 #include "labeler/labeler.h"
 #include "obs/query_log.h"
-#include "queries/aggregation.h"
-#include "queries/limit.h"
-#include "queries/noguarantee.h"
-#include "queries/predicate_aggregation.h"
-#include "queries/supg.h"
+#include "queries/executor.h"
 #include "serve/deadline.h"
 #include "serve/oracle_scheduler.h"
 #include "serve/score_cache.h"
@@ -66,55 +62,18 @@ namespace tasti::serve {
 
 class ServerMonitor;
 
-enum class QueryKind {
-  kAggregate,
-  kAggregateWhere,
-  kSupgRecall,
-  kSupgPrecision,
-  kThresholdSelect,
-  kLimit,
-};
+// The query vocabulary lives beside the executor (queries/executor.h);
+// these keep the serving API spelled serve::QuerySpec and friends.
+using queries::QueryKind;
+using queries::QueryKindName;
+using queries::QuerySpec;
 
-const char* QueryKindName(QueryKind kind);
-
-/// One query request. Scorer pointers must outlive the query's execution.
-struct QuerySpec {
-  QueryKind kind = QueryKind::kAggregate;
-  /// The statistic (aggregate) or predicate (everything else).
-  const core::Scorer* scorer = nullptr;
-  /// The statistic for kAggregateWhere (scorer is then the predicate).
-  const core::Scorer* statistic = nullptr;
-  double error_target = 0.05;   ///< aggregate / aggregate_where
-  double target = 0.9;          ///< recall or precision target (SUPG)
-  size_t budget = 500;          ///< SUPG oracle budget
-  size_t validation_budget = 100;  ///< threshold select
-  size_t want = 10;             ///< limit
-  /// Client issuing the query (per-client concurrency slots).
-  uint64_t client_id = 0;
-  /// Priority class for admission-time load shedding (shedder.h).
-  QueryPriority priority = QueryPriority::kInteractive;
-  /// Latency budget in ms; 0 = unbounded. Accounted in virtual time when
-  /// degrade.virtual_ms_per_call > 0, wall time otherwise. On expiry the
-  /// query stops at the next phase boundary and returns a degraded
-  /// (wider-interval / partial) answer instead of running over.
-  double deadline_ms = 0.0;
-};
-
-/// One completed query. The member matching `kind` carries the payload;
-/// the rest are default-constructed.
-struct QueryResponse {
+/// One completed query: the executor's answer (kind, status, the payload
+/// matching `kind`, deadline_hit) plus serving-layer accounting.
+struct QueryResponse : queries::QueryAnswer {
   uint64_t query_id = 0;
-  QueryKind kind = QueryKind::kAggregate;
   /// Snapshot epoch the query executed against.
   uint64_t epoch = 0;
-  /// OK when the query produced a usable result (session semantics).
-  Status status = Status::OK();
-
-  queries::AggregationResult aggregate;
-  queries::PredicateAggregationResult aggregate_where;
-  queries::SupgResult supg;
-  queries::ThresholdSelectResult select;
-  queries::LimitResult limit;
 
   // Serving-layer accounting.
   size_t attributed_invocations = 0;  ///< physical oracle attempts charged here
@@ -135,8 +94,6 @@ struct QueryResponse {
   bool degraded = false;
   /// How much statistical guarantee the answer retains.
   GuaranteeLevel guarantee = GuaranteeLevel::kFull;
-  /// True when the query's deadline expired mid-execution.
-  bool deadline_hit = false;
   double deadline_budget_ms = 0.0;  ///< spec.deadline_ms (0 = unbounded)
   double deadline_spent_ms = 0.0;   ///< deadline time consumed at completion
 };
@@ -188,7 +145,7 @@ struct ServerOptions {
   core::IndexOptions index;
   /// Success probability shared by guarantee-carrying queries.
   double confidence = 0.95;
-  /// Base seed; query n draws api::DeriveQuerySeed(seed, n).
+  /// Base seed; query n draws queries::DeriveQuerySeed(seed, n).
   uint64_t seed = 1234;
 };
 

@@ -198,5 +198,43 @@ TEST(SessionTest, ProxyCacheReusedWithoutCracking) {
   EXPECT_EQ(&first, &second);  // same cached vector
 }
 
+// Records appended to the index but unknown to the oracle cannot be
+// labeled: a query over them fails with FailedPrecondition (it used to
+// abort the process) and the session's ledger stays balanced.
+TEST(SessionTest, QueryAfterAppendRecordsFailsInsteadOfAborting) {
+  data::Dataset ds = TestDataset(3000);
+  labeler::SimulatedLabeler oracle(&ds);
+  SessionOptions opts = FastSessionOptions();
+  opts.index.num_representatives = 200;
+  opts.index.num_training_records = 200;
+  TastiSession session(&ds, &oracle, opts);
+  core::CountScorer cars(data::ObjectClass::kCar);
+  session.Aggregate(cars, 0.15);
+  ASSERT_TRUE(session.last_query_status().ok());
+
+  data::DatasetOptions more_opts;
+  more_opts.num_records = 200;
+  more_opts.seed = 77;
+  data::Dataset more = data::MakeNightStreet(more_opts);
+  session.mutable_index().AppendRecords(more.features);
+  session.InvalidateProxyCache();
+
+  const size_t calls_before = oracle.invocations();
+  const auto result = session.Aggregate(cars, 0.15);
+  EXPECT_EQ(session.last_query_status().code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_NE(session.last_query_status().message().find("3200"),
+            std::string::npos);
+  EXPECT_NE(session.last_query_status().message().find("3000"),
+            std::string::npos);
+  EXPECT_EQ(result.labeler_invocations, 0u);
+  session.Limit(core::AtLeastCountScorer(data::ObjectClass::kCar, 2), 5);
+  EXPECT_EQ(session.last_query_status().code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(oracle.invocations(), calls_before);
+  EXPECT_EQ(session.total_labeler_invocations(), oracle.invocations());
+  EXPECT_EQ(session.queries_executed(), 3u);
+}
+
 }  // namespace
 }  // namespace tasti::api

@@ -114,6 +114,11 @@ struct BoundDistribution {
   double range;
 };
 
+// Without this gtest prints the raw bytes of the struct, function and string
+// pointers included, so the listed test names would shift with the binary's
+// layout and load address.
+void PrintTo(const BoundDistribution& dist, std::ostream* os) { *os << dist.name; }
+
 double DrawBernoulli(Rng* rng) { return rng->Bernoulli(0.2) ? 1.0 : 0.0; }
 double DrawUniform(Rng* rng) { return rng->Uniform(); }
 double DrawBimodal(Rng* rng) {

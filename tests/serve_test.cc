@@ -1011,5 +1011,117 @@ TEST(MonitorTest, EpochPublishUpdatesDriftGaugesAndAlerts) {
   EXPECT_TRUE(server.CheckAttributionInvariant().ok());
 }
 
+// The session and the server are two routes to one executor; at a fixed
+// seed they must give the same answers. A deterministic single-worker
+// server drained after every query cracks exactly when the session does,
+// so both see the same index before each query. Oracle calls are not
+// compared: the server's label cache legitimately makes them differ.
+TEST(ParityTest, SessionAndServerAgreeOnEveryQueryKind) {
+  data::Dataset ds = TestDataset(4000);
+  const ServerOptions server_opts = [] {
+    ServerOptions opts = FastServerOptions();
+    opts.deterministic = true;
+    opts.num_workers = 1;
+    return opts;
+  }();
+  api::SessionOptions session_opts;
+  session_opts.index = server_opts.index;
+  session_opts.confidence = server_opts.confidence;
+  session_opts.seed = server_opts.seed;
+
+  core::PresenceScorer present(data::ObjectClass::kCar);
+  core::AtLeastCountScorer busy(data::ObjectClass::kCar, 2);
+  std::vector<QuerySpec> script;
+  for (int pass = 0; pass < 2; ++pass) {
+    script.push_back({.kind = QueryKind::kAggregate,
+                      .scorer = &present,
+                      .error_target = 0.1});
+    script.push_back({.kind = QueryKind::kAggregateWhere,
+                      .scorer = &present,
+                      .statistic = &busy,
+                      .error_target = 0.3});
+    script.push_back({.kind = QueryKind::kSupgRecall,
+                      .scorer = &present,
+                      .target = 0.9,
+                      .budget = 120});
+    script.push_back({.kind = QueryKind::kSupgPrecision,
+                      .scorer = &present,
+                      .target = 0.8,
+                      .budget = 120});
+    script.push_back({.kind = QueryKind::kThresholdSelect,
+                      .scorer = &present,
+                      .validation_budget = 80});
+    script.push_back(
+        {.kind = QueryKind::kLimit, .scorer = &busy, .want = 4});
+  }
+
+  labeler::SimulatedLabeler session_sim(&ds);
+  labeler::FallibleAdapter session_oracle(&session_sim);
+  api::TastiSession session(&ds, &session_oracle, session_opts);
+  labeler::SimulatedLabeler server_sim(&ds);
+  labeler::FallibleAdapter server_oracle(&server_sim);
+  TastiServer server(&ds, &server_oracle, server_opts);
+  ASSERT_TRUE(server.Start().ok());
+  const size_t built_reps = session.index().num_representatives();
+  ASSERT_EQ(built_reps, server.epochs().Acquire()->rep_record_ids.size());
+
+  for (size_t i = 0; i < script.size(); ++i) {
+    SCOPED_TRACE(std::string(QueryKindName(script[i].kind)) + " #" +
+                 std::to_string(i));
+    const queries::QueryAnswer a = session.Execute(script[i]);
+    const QueryResponse b = server.Execute(script[i]);
+    server.Drain();
+    ASSERT_TRUE(a.status.ok());
+    ASSERT_TRUE(b.status.ok());
+    EXPECT_EQ(a.aggregate.estimate, b.aggregate.estimate);
+    EXPECT_EQ(a.aggregate.half_width, b.aggregate.half_width);
+    EXPECT_EQ(a.aggregate_where.estimate, b.aggregate_where.estimate);
+    EXPECT_EQ(a.aggregate_where.half_width, b.aggregate_where.half_width);
+    EXPECT_EQ(a.supg.selected, b.supg.selected);
+    EXPECT_EQ(a.supg.threshold, b.supg.threshold);
+    EXPECT_EQ(a.select.selected, b.select.selected);
+    EXPECT_EQ(a.select.threshold, b.select.threshold);
+    EXPECT_EQ(a.limit.found, b.limit.found);
+    EXPECT_EQ(session.index().num_representatives(),
+              server.epochs().Acquire()->rep_record_ids.size());
+  }
+  // The script cracked the index, so later queries ran on grown indexes.
+  EXPECT_GT(session.index().num_representatives(), built_reps);
+  EXPECT_TRUE(server.CheckAttributionInvariant().ok());
+}
+
+// Records appended to the index but unknown to the oracle cannot be
+// labeled: a query over them fails with FailedPrecondition (it used to
+// abort the process) and the server keeps serving.
+TEST(ServerTest, QueryAfterAppendRecordsFailsAndServerKeepsServing) {
+  data::Dataset ds = TestDataset(1500);
+  labeler::SimulatedLabeler oracle(&ds);
+  labeler::FallibleAdapter adapter(&oracle);
+  TastiServer server(&ds, &adapter, FastServerOptions());
+  ASSERT_TRUE(server.Start().ok());
+
+  data::DatasetOptions more_opts;
+  more_opts.num_records = 200;
+  more_opts.seed = 77;
+  data::Dataset more = data::MakeNightStreet(more_opts);
+  EXPECT_EQ(server.AppendRecords(more.features), ds.size());
+
+  core::CountScorer cars(data::ObjectClass::kCar);
+  core::AtLeastCountScorer busy(data::ObjectClass::kCar, 2);
+  const QuerySpec specs[] = {
+      {.kind = QueryKind::kAggregate, .scorer = &cars, .error_target = 0.15},
+      {.kind = QueryKind::kLimit, .scorer = &busy, .want = 4}};
+  for (const QuerySpec& spec : specs) {
+    const QueryResponse r = server.Execute(spec);
+    EXPECT_EQ(r.status.code(), StatusCode::kFailedPrecondition);
+    EXPECT_NE(r.status.message().find("1700"), std::string::npos);
+    EXPECT_NE(r.status.message().find("1500"), std::string::npos);
+    EXPECT_EQ(r.attributed_invocations, 0u);
+  }
+  server.Drain();
+  EXPECT_EQ(server.stats().queries_completed, 2u);
+  EXPECT_TRUE(server.CheckAttributionInvariant().ok());
+}
+
 }  // namespace
 }  // namespace tasti::serve
