@@ -161,17 +161,27 @@ BENCHMARK(BM_IvfSearchAll)->Args({2000, 4})->Args({2000, 8});
 
 void BM_CrackUpdate(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
+  const size_t batch = static_cast<size_t>(state.range(1));
   nn::Matrix points = RandomPoints(n, 64, 4);
   nn::Matrix reps = RandomPoints(512, 64, 5);
-  cluster::TopKDistances topk = cluster::ComputeTopK(points, reps, 5);
+  // Min-k lists over the first 512 - batch reps; each iteration cracks the
+  // last `batch` rows in as one RelaxTopK pass.
+  std::vector<size_t> base_rows(512 - batch);
+  for (size_t i = 0; i < base_rows.size(); ++i) base_rows[i] = i;
+  const cluster::TopKDistances topk =
+      cluster::ComputeTopK(points, reps.GatherRows(base_rows), 5);
   for (auto _ : state) {
     cluster::TopKDistances copy = topk;
-    cluster::UpdateTopKWithNewRep(points, reps, 0, 511, &copy);
+    cluster::RelaxTopK(points, reps, base_rows.size(), &copy, nullptr);
     benchmark::DoNotOptimize(copy.distances.data());
   }
   state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(n));
 }
-BENCHMARK(BM_CrackUpdate)->Arg(10000)->Arg(100000);
+BENCHMARK(BM_CrackUpdate)
+    ->Args({10000, 1})
+    ->Args({10000, 32})
+    ->Args({100000, 1})
+    ->Args({100000, 32});
 
 // One small prebuilt index shared by the propagation benchmarks.
 struct PropagationFixture {

@@ -1,7 +1,6 @@
 #include "cluster/topk.h"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 #include <mutex>
 
@@ -11,142 +10,86 @@
 
 namespace tasti::cluster {
 
-namespace {
-
-/// Inserts (d2, id) into the sorted prefix best_d2[0..filled). Equal keys
-/// keep insertion order, so scanning representatives in ascending id gives
-/// the same tie-breaks as the scalar reference.
-void InsertSorted(float d2, uint32_t id, size_t filled, float* best_d2,
-                  uint32_t* best_id) {
-  size_t pos = filled;
-  while (pos > 0 && best_d2[pos - 1] > d2) {
-    best_d2[pos] = best_d2[pos - 1];
-    best_id[pos] = best_id[pos - 1];
-    --pos;
-  }
-  best_d2[pos] = d2;
-  best_id[pos] = id;
-}
-
-}  // namespace
-
 TopKDistances ComputeTopK(const nn::Matrix& points, const nn::Matrix& reps,
                           size_t k) {
-  TASTI_CHECK(points.cols() == reps.cols(), "points/reps dim mismatch");
   TASTI_CHECK(reps.rows() > 0, "ComputeTopK requires at least one rep");
-  const size_t n = points.rows();
-  const size_t r = reps.rows();
-  k = std::min(k, r);
-
   TopKDistances topk;
-  topk.k = k;
-  topk.num_records = n;
-  topk.rep_ids.assign(n * k, 0);
-  topk.distances.assign(n * k, std::numeric_limits<float>::max());
-
-  // Representatives packed once into depth-major L1-sized tiles; every
-  // record streams against each tile via the dot-trick batch kernel.
-  const std::vector<nn::PackedBlock> blocks = nn::PackBlocks(reps);
-
-  ParallelForDynamic(0, n, [&](size_t lo, size_t hi, size_t /*worker*/) {
-    std::vector<float> dist2(nn::kDistanceBlockRows);
-    std::vector<float> best_d2(k);
-    std::vector<uint32_t> best_id(k);
-    for (size_t i = lo; i < hi; ++i) {
-      const float point_norm = nn::RowSquaredNorm(points, i);
-      size_t filled = 0;
-      for (const nn::PackedBlock& block : blocks) {
-        nn::SquaredDistanceBatch(points, i, point_norm, block, dist2.data());
-        const size_t base = block.row_begin();
-        for (size_t j = 0; j < block.rows(); ++j) {
-          const float d2 = dist2[j];
-          if (filled < k) {
-            InsertSorted(d2, static_cast<uint32_t>(base + j), filled,
-                         best_d2.data(), best_id.data());
-            ++filled;
-          } else if (d2 < best_d2[k - 1]) {
-            InsertSorted(d2, static_cast<uint32_t>(base + j), k - 1,
-                         best_d2.data(), best_id.data());
-          }
-        }
-      }
-      // Pin the stored distances to the exact scalar formula: the dot-trick
-      // selects the k nearest, but its cancellation error (up to
-      // ~eps * |x|^2 for near-duplicates) would leak into propagation
-      // weights. Recomputing k exact distances costs k/r of the batch pass.
-      for (size_t j = 0; j < filled; ++j) {
-        best_d2[j] = nn::SquaredDistance(points, i, reps, best_id[j]);
-      }
-      // Exact values may swap near-equal neighbors; restore ascending
-      // order (ties by id, matching the scalar reference's insertion).
-      for (size_t j = 1; j < filled; ++j) {
-        const float d2 = best_d2[j];
-        const uint32_t id = best_id[j];
-        size_t pos = j;
-        while (pos > 0 && (best_d2[pos - 1] > d2 ||
-                           (best_d2[pos - 1] == d2 && best_id[pos - 1] > id))) {
-          best_d2[pos] = best_d2[pos - 1];
-          best_id[pos] = best_id[pos - 1];
-          --pos;
-        }
-        best_d2[pos] = d2;
-        best_id[pos] = id;
-      }
-      for (size_t j = 0; j < filled; ++j) {
-        topk.distances[i * k + j] = std::sqrt(best_d2[j]);
-        topk.rep_ids[i * k + j] = best_id[j];
-      }
-    }
-  }, 256);
+  topk.k = std::min(k, reps.rows());
+  topk.num_records = points.rows();
+  topk.rep_ids.assign(points.rows() * topk.k, 0);
+  topk.distances.assign(points.rows() * topk.k,
+                        std::numeric_limits<float>::infinity());
+  RelaxTopK(points, reps, 0, &topk, nullptr);
   return topk;
 }
 
-void UpdateTopKWithNewRep(const nn::Matrix& points, const nn::Matrix& reps,
-                          size_t rep_row, uint32_t new_rep_id,
-                          TopKDistances* topk,
-                          std::vector<uint32_t>* dirty_rows) {
-  TASTI_CHECK(topk != nullptr, "UpdateTopKWithNewRep requires a topk");
+void RelaxTopK(const nn::Matrix& points, const nn::Matrix& reps,
+               size_t first_rep, TopKDistances* topk,
+               std::vector<uint32_t>* dirty_rows) {
+  TASTI_CHECK(topk != nullptr, "RelaxTopK requires a topk");
+  TASTI_CHECK(points.cols() == reps.cols(), "points/reps dim mismatch");
   TASTI_CHECK(points.rows() == topk->num_records, "topk record count mismatch");
-  TASTI_CHECK(rep_row < reps.rows(), "rep_row out of range");
+  TASTI_CHECK(first_rep <= reps.rows(), "first_rep out of range");
   const size_t k = topk->k;
+  if (k == 0 || first_rep == reps.rows()) return;
+
+  // New representatives packed once into depth-major L1-sized tiles; every
+  // record streams against each tile via the dot-trick batch kernel.
+  const std::vector<nn::PackedBlock> blocks = nn::PackBlocks(reps, first_rep);
+
+  // Skip bound. With unit roundoff u and g = (dim + 3) u, the batch kernel's
+  // d2 is within 2g (|x|^2 + |y|^2) of the true squared distance D, and the
+  // exact formula returns at least D (1 - g). So d2 > t2 + 4g (t2 + |x|^2 +
+  // |y|^2), with t2 = thr * thr, implies the exact distance is >= thr. The
+  // slack below is twice that 4g, to absorb the rounding of the test itself.
+  const float slack = 4.0f * static_cast<float>(reps.cols() + 4) *
+                      std::numeric_limits<float>::epsilon();
+
   std::mutex dirty_mu;
   ParallelForDynamic(0, points.rows(), [&](size_t lo, size_t hi,
                                            size_t /*worker*/) {
-    std::vector<float> d2_buf(hi - lo);
+    std::vector<float> dist2(nn::kDistanceBlockRows);
     std::vector<uint32_t> chunk_dirty;
-    nn::SquaredDistanceOneToMany(points, lo, hi, reps, rep_row, d2_buf.data());
     for (size_t i = lo; i < hi; ++i) {
       float* dist = topk->distances.data() + i * k;
       uint32_t* ids = topk->rep_ids.data() + i * k;
-      const float thr = dist[k - 1];
-      // Cheap vectorized filter with slack; candidates that survive are
-      // re-evaluated with the exact scalar formula so stored values (and
-      // near-threshold accept/reject decisions) match the scalar path.
-      const float d2 = d2_buf[i - lo];
-      if (thr < std::numeric_limits<float>::max() &&
-          d2 > thr * thr * (1.0f + 1e-3f) + 1e-6f) {
-        continue;
+      const float point_norm = nn::RowSquaredNorm(points, i);
+      auto cutoff_for = [&](float thr) {
+        const float thr2 = thr * thr;
+        return thr2 + slack * (thr2 + point_norm);
+      };
+      float cutoff = cutoff_for(dist[k - 1]);
+      bool changed = false;
+      for (const nn::PackedBlock& block : blocks) {
+        nn::SquaredDistanceBatch(points, i, point_norm, block, dist2.data());
+        const float* rep_norms = block.norms();
+        for (size_t j = 0; j < block.rows(); ++j) {
+          if (dist2[j] > cutoff + slack * rep_norms[j]) continue;
+          const uint32_t rep = static_cast<uint32_t>(block.row_begin() + j);
+          const float d = nn::Distance(points, i, reps, rep);
+          if (!(d < dist[k - 1])) continue;
+          size_t pos = k - 1;
+          while (pos > 0 && dist[pos - 1] > d) {
+            dist[pos] = dist[pos - 1];
+            ids[pos] = ids[pos - 1];
+            --pos;
+          }
+          dist[pos] = d;
+          ids[pos] = rep;
+          cutoff = cutoff_for(dist[k - 1]);
+          changed = true;
+        }
       }
-      const float d = nn::Distance(points, i, reps, rep_row);
-      if (d >= thr) continue;
-      size_t pos = k - 1;
-      while (pos > 0 && dist[pos - 1] > d) {
-        dist[pos] = dist[pos - 1];
-        ids[pos] = ids[pos - 1];
-        --pos;
-      }
-      dist[pos] = d;
-      ids[pos] = new_rep_id;
-      if (dirty_rows != nullptr) {
+      if (changed && dirty_rows != nullptr) {
         chunk_dirty.push_back(static_cast<uint32_t>(i));
       }
     }
-    if (dirty_rows != nullptr && !chunk_dirty.empty()) {
+    if (!chunk_dirty.empty()) {
       std::lock_guard<std::mutex> lock(dirty_mu);
       dirty_rows->insert(dirty_rows->end(), chunk_dirty.begin(),
                          chunk_dirty.end());
     }
-  }, 512);
+  }, 256);
 }
 
 }  // namespace tasti::cluster

@@ -3,7 +3,8 @@
 
 /// \file topk.h
 /// Exact k-nearest-representative computation (the "min-k distances" of
-/// Algorithm 1) with incremental updates for index cracking.
+/// Algorithm 1). Construction, streaming appends and every crack merge
+/// representatives into the min-k lists through one routine, RelaxTopK.
 
 #include <cstddef>
 #include <cstdint>
@@ -26,29 +27,29 @@ struct TopKDistances {
   float Dist(size_t record, size_t j) const { return distances[record * k + j]; }
 };
 
-/// Computes exact top-k via brute force over all representative rows.
+/// Computes exact top-k over all representative rows: every list starts at
+/// +inf and RelaxTopK merges representatives [0, reps.rows()) into it.
 /// O(n * r * dim), parallelized over records.
 TopKDistances ComputeTopK(const nn::Matrix& points, const nn::Matrix& reps,
                           size_t k);
 
-/// Incremental cracking update: representative `new_rep_id` with embedding
-/// row `rep_row` of `reps` has been appended; every record's top-k list is
-/// updated in place (one distance evaluation per record).
+/// Merges representative rows [first_rep, reps.rows()) of `reps` into every
+/// record's min-k list in place; representative ids are row indices of
+/// `reps`. Candidates are screened with the dot-trick batch kernel, but a
+/// representative is skipped only when a conservative bound on that
+/// kernel's rounding error proves it cannot beat the record's current k-th
+/// distance. Every insertion is decided on the exact nn::Distance, scanning
+/// representatives in ascending id, so ties go to the lower id and the
+/// lists match a scalar brute-force scan of all rows bit for bit.
 ///
 /// When `dirty_rows` is non-null, the ids of records whose top-k list
 /// actually changed are appended to it (unsorted, but duplicate-free for a
 /// single call). This is the ground truth the incremental propagation
 /// engine keys on: a record's proxy score depends only on its own top-k
 /// row, so exactly these rows need recomputing after the crack.
-void UpdateTopKWithNewRep(const nn::Matrix& points, const nn::Matrix& reps,
-                          size_t rep_row, uint32_t new_rep_id,
-                          TopKDistances* topk,
-                          std::vector<uint32_t>* dirty_rows);
-inline void UpdateTopKWithNewRep(const nn::Matrix& points,
-                                 const nn::Matrix& reps, size_t rep_row,
-                                 uint32_t new_rep_id, TopKDistances* topk) {
-  UpdateTopKWithNewRep(points, reps, rep_row, new_rep_id, topk, nullptr);
-}
+void RelaxTopK(const nn::Matrix& points, const nn::Matrix& reps,
+               size_t first_rep, TopKDistances* topk,
+               std::vector<uint32_t>* dirty_rows);
 
 }  // namespace tasti::cluster
 

@@ -54,9 +54,9 @@ struct IndexView {
 /// base_num_records, and the scorer outputs of representatives appended
 /// beyond base_num_representatives or listed in dirty_reps.
 struct IndexDelta {
-  /// True when the delta cannot be expressed row-wise: no baseline was
-  /// ever taken (fresh or deserialized index), or a large cracking batch
-  /// took the full top-k rebuild path. Consumers must recompute all rows.
+  /// True only when no baseline was ever taken (fresh or deserialized
+  /// index): consumers must recompute all rows. Cracks of any size are
+  /// always expressed row-wise.
   bool full = true;
   /// Representative / record counts at the baseline.
   size_t base_num_representatives = 0;
@@ -189,9 +189,8 @@ class TastiIndex {
   // --- Cracking (paper Section 3.3) ---
 
   /// Adds a record annotated during query execution as a new
-  /// representative and updates every record's min-k list (one distance
-  /// evaluation per record). No-op if the record is already a
-  /// representative.
+  /// representative and updates every record's min-k list: a one-record
+  /// CrackFromLabels. No-op if the record is already a representative.
   void AddRepresentative(size_t record_id, data::LabelerOutput label);
 
   /// Bulk-adds every cached annotation of `cache` not yet in the index.
@@ -199,8 +198,10 @@ class TastiIndex {
   size_t CrackFrom(const labeler::CachingLabeler& cache);
 
   /// Bulk-adds annotated records by parallel (record id, label) vectors,
-  /// skipping records that are already representatives. Returns the number
-  /// of representatives added.
+  /// skipping records that are already representatives (an id repeated in
+  /// the batch is added once). Every record id must be < num_records().
+  /// The whole batch is merged into the min-k lists by one
+  /// cluster::RelaxTopK pass. Returns the number of representatives added.
   size_t CrackFromLabels(const std::vector<size_t>& records,
                          const std::vector<data::LabelerOutput>& labels);
 

@@ -16,10 +16,9 @@
 /// Incremental propagation: a record's propagated score depends only on
 /// its own top-k row and the exact scores of the representatives in it.
 /// When cracking changes the top-k lists of a known set of "dirty" rows
-/// (cluster::UpdateTopKWithNewRep reports them), PropagateIncremental
-/// recomputes only those rows — running the identical per-row arithmetic
-/// the full pass would, so results are bit-identical to recomputing from
-/// scratch. PropagationState carries everything needed to resume.
+/// (cluster::RelaxTopK reports them), PropagateIncremental recomputes
+/// only those rows — running the identical per-row arithmetic the full
+/// pass would, so results are bit-identical to recomputing from scratch. PropagationState carries everything needed to resume.
 
 #include <cstddef>
 #include <cstdint>

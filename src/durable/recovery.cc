@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <optional>
+#include <string>
 #include <utility>
 
 namespace tasti::durable {
@@ -29,6 +30,51 @@ void Apply(core::TastiIndex* index, const WalRecord& record,
     case WalRecordType::kEpochPublish:
       break;  // handled by the replay loop
   }
+}
+
+/// Describes the first mutation in records[0, committed) that the index
+/// would reject, checking each against the state the mutations before it
+/// reach; empty when all of them apply cleanly. Appends grow the record
+/// count. Cracks only add valid representatives, so a repair must name a
+/// representative that was already failed before this segment.
+std::string FindInvalidMutation(const core::TastiIndex& index,
+                                const std::vector<WalRecord>& records,
+                                size_t committed) {
+  size_t num_records = index.num_records();
+  std::vector<uint8_t> rep_valid = index.rep_label_valid();
+  for (size_t j = 0; j < committed; ++j) {
+    const WalRecord& record = records[j];
+    auto fault = [&](const std::string& what) {
+      return "LSN " + std::to_string(record.lsn) + ": " + what;
+    };
+    switch (record.type) {
+      case WalRecordType::kCrack:
+        for (uint64_t id : record.records) {
+          if (id >= num_records) {
+            return fault("crack record id " + std::to_string(id) +
+                         " out of range (" + std::to_string(num_records) +
+                         " records)");
+          }
+        }
+        break;
+      case WalRecordType::kRepair:
+        if (record.rep_pos >= rep_valid.size() || rep_valid[record.rep_pos]) {
+          return fault("repair of rep_pos " + std::to_string(record.rep_pos) +
+                       ", which is not a failed representative");
+        }
+        rep_valid[record.rep_pos] = 1;
+        break;
+      case WalRecordType::kAppend:
+        if (index.embedder() == nullptr || record.features.rows() == 0) {
+          return fault("append the index cannot embed");
+        }
+        num_records += record.features.rows();
+        break;
+      case WalRecordType::kEpochPublish:
+        break;
+    }
+  }
+  return "";
 }
 
 }  // namespace
@@ -172,16 +218,28 @@ Result<RecoveredState> Recover(File* fs, const std::string& dir) {
         ++lsn;
       }
     }
+    // Mutations count only once their epoch-publish marker hit the disk;
+    // everything after the last marker was never observable.
+    size_t committed_records = 0;
+    for (size_t j = 0; j < segment.records.size(); ++j) {
+      if (segment.records[j].type == WalRecordType::kEpochPublish) {
+        committed_records = j + 1;
+      }
+    }
+    if (bad.empty()) {
+      // Validate before applying anything, so a committed mutation the
+      // index would reject is handled like bit rot: no batch of this
+      // segment is applied, half or whole.
+      bad = FindInvalidMutation(out.index, segment.records, committed_records);
+    }
     if (!bad.empty()) {
       stop = true;
       stop_reason = "corrupt segment " + name;
       quarantine(name, bad);
       continue;
     }
-    // Apply mutations batch-wise at their epoch-publish markers; a batch
-    // whose marker never hit the disk was never observable.
+    // Apply mutations batch-wise at their epoch-publish markers.
     size_t committed_end = 0;
-    size_t committed_records = 0;
     std::vector<size_t> pending;
     for (size_t j = 0; j < segment.records.size(); ++j) {
       const WalRecord& record = segment.records[j];
@@ -192,7 +250,6 @@ Result<RecoveredState> Recover(File* fs, const std::string& dir) {
         out.epoch = record.epoch;
         ++stats.epochs_replayed;
         committed_end = segment.offsets[j + 1];
-        committed_records = j + 1;
       } else {
         pending.push_back(j);
       }

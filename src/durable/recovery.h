@@ -21,8 +21,11 @@
 ///     deterministic — so the recovered epoch is bit-identical to the
 ///     pre-crash one.
 ///  4. A segment that fails validation mid-file (bit rot, not a torn
-///     tail) is quarantined into dir/quarantine/ together with every later
-///     segment, and replay stops at the last epoch committed before it:
+///     tail), or holds a committed mutation the index would reject (a
+///     crack id past the record count, a repair of a representative that
+///     is not failed), is quarantined into dir/quarantine/ together with
+///     every later segment, and replay stops at the last epoch committed
+///     before it — no batch of the segment is applied, half or whole:
 ///     the server starts from the newest intact state instead of refusing
 ///     to start, surfacing the quarantine as a monitor fault.
 ///

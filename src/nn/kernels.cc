@@ -73,8 +73,8 @@ void PackedBlock::Pack(const Matrix& reps, size_t row_begin, size_t row_end) {
   }
 }
 
-std::vector<PackedBlock> PackBlocks(const Matrix& reps, size_t block_rows) {
-  TASTI_CHECK(block_rows > 0, "PackBlocks requires a positive block size");
+std::vector<PackedBlock> PackBlocks(const Matrix& reps, size_t row_begin) {
+  TASTI_CHECK(row_begin <= reps.rows(), "PackBlocks row_begin out of range");
   // Coarse counters only at kernel entry points that amortize over many
   // rows; the per-row inner kernels (DotBatch, SquaredDistanceBatch) stay
   // uninstrumented so the disabled path adds nothing measurable.
@@ -86,13 +86,15 @@ std::vector<PackedBlock> PackBlocks(const Matrix& reps, size_t block_rows) {
         obs::MetricsRegistry::Global().counter("kernels.pack_blocks.rows",
                                                "rows");
     calls->Increment();
-    rows->Increment(reps.rows());
+    rows->Increment(reps.rows() - row_begin);
   }
   std::vector<PackedBlock> blocks;
-  blocks.reserve((reps.rows() + block_rows - 1) / block_rows);
-  for (size_t lo = 0; lo < reps.rows(); lo += block_rows) {
+  blocks.reserve((reps.rows() - row_begin + kDistanceBlockRows - 1) /
+                 kDistanceBlockRows);
+  for (size_t lo = row_begin; lo < reps.rows(); lo += kDistanceBlockRows) {
     blocks.emplace_back();
-    blocks.back().Pack(reps, lo, std::min(reps.rows(), lo + block_rows));
+    blocks.back().Pack(reps, lo,
+                       std::min(reps.rows(), lo + kDistanceBlockRows));
   }
   return blocks;
 }

@@ -15,9 +15,9 @@
 ///    `d2(x, y) = |x|^2 + |y|^2 - 2 x.y` over a register-blocked GEMM with
 ///    cached per-row norms, clamped at zero (the subtraction can go
 ///    slightly negative for near-duplicate rows).
-///  * One-center batches (FPF relax, cracking updates, PQ codebook scans)
-///    keep the cancellation-free `(x - y)^2` form but split the depth
-///    reduction across independent accumulator lanes.
+///  * One-center batches (FPF relax, PQ codebook scans) keep the
+///    cancellation-free `(x - y)^2` form but split the depth reduction
+///    across independent accumulator lanes.
 ///
 /// All kernels accumulate each output element sequentially over the depth
 /// dimension, so results are deterministic and independent of threading.
@@ -69,10 +69,9 @@ class PackedBlock {
   std::vector<float> norms_;
 };
 
-/// Splits the rows of `reps` into consecutive packed tiles of at most
-/// `block_rows` rows each.
-std::vector<PackedBlock> PackBlocks(const Matrix& reps,
-                                    size_t block_rows = kDistanceBlockRows);
+/// Splits rows [row_begin, reps.rows()) of `reps` into consecutive packed
+/// tiles of at most kDistanceBlockRows rows each.
+std::vector<PackedBlock> PackBlocks(const Matrix& reps, size_t row_begin = 0);
 
 /// Dot products of row `point_row` of `points` against every row of the
 /// block: out[j] = points[point_row] . block_row_j. The j loop is unit
@@ -94,8 +93,8 @@ void SquaredDistanceBatch(const Matrix& points, size_t point_row,
 
 /// Cancellation-free one-to-many: out[i - lo] = |m_i - y|^2 for rows
 /// [lo, hi) of `m`; `y` holds m.cols() floats. Used where a single vector
-/// is compared against many rows (FPF relax, cracking updates, centroid
-/// routing, PQ codebook scans) and the dot-trick has no reuse to exploit.
+/// is compared against many rows (FPF relax, centroid routing, PQ
+/// codebook scans) and the dot-trick has no reuse to exploit.
 void SquaredDistanceOneToMany(const Matrix& m, size_t lo, size_t hi,
                               const float* y, float* out);
 

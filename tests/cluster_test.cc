@@ -495,13 +495,10 @@ TEST(TopKTest, IncrementalUpdateMatchesRecompute) {
 
   // Append 5 new reps one at a time with the incremental update.
   nn::Matrix extra = RandomPoints(5, 5, 24);
-  nn::Matrix grown(reps.rows() + extra.rows(), reps.cols());
-  std::copy(reps.data(), reps.data() + reps.size(), grown.data());
-  std::copy(extra.data(), extra.data() + extra.size(),
-            grown.data() + reps.size());
+  nn::Matrix grown = reps;
   for (size_t r = 0; r < extra.rows(); ++r) {
-    UpdateTopKWithNewRep(points, grown, reps.rows() + r,
-                         static_cast<uint32_t>(reps.rows() + r), &incremental);
+    grown.AppendRowsFrom(extra, {r});
+    RelaxTopK(points, grown, grown.rows() - 1, &incremental, nullptr);
   }
 
   TopKDistances fresh = ComputeTopK(points, grown, k);
@@ -521,16 +518,13 @@ TEST(TopKTest, DirtyRowsAreExactlyTheChangedRecords) {
   TopKDistances topk = ComputeTopK(points, reps, k);
 
   nn::Matrix extra = RandomPoints(4, 4, 33);
-  nn::Matrix grown(reps.rows() + extra.rows(), reps.cols());
-  std::copy(reps.data(), reps.data() + reps.size(), grown.data());
-  std::copy(extra.data(), extra.data() + extra.size(),
-            grown.data() + reps.size());
+  nn::Matrix grown = reps;
 
   for (size_t r = 0; r < extra.rows(); ++r) {
     const TopKDistances before = topk;
     std::vector<uint32_t> dirty;
-    UpdateTopKWithNewRep(points, grown, reps.rows() + r,
-                         static_cast<uint32_t>(reps.rows() + r), &topk, &dirty);
+    grown.AppendRowsFrom(extra, {r});
+    RelaxTopK(points, grown, grown.rows() - 1, &topk, &dirty);
     std::set<uint32_t> dirty_set(dirty.begin(), dirty.end());
     ASSERT_EQ(dirty_set.size(), dirty.size()) << "duplicate dirty rows";
     for (size_t i = 0; i < points.rows(); ++i) {
@@ -557,8 +551,7 @@ TEST(TopKTest, UpdateIgnoresFartherRep) {
   for (size_t c = 0; c < reps.cols(); ++c) {
     far_rep.At(reps.rows(), c) = 1000.0f;
   }
-  UpdateTopKWithNewRep(points, far_rep, reps.rows(),
-                       static_cast<uint32_t>(reps.rows()), &topk);
+  RelaxTopK(points, far_rep, reps.rows(), &topk, nullptr);
   for (size_t i = 0; i < topk.distances.size(); ++i) {
     EXPECT_EQ(topk.distances[i], before.distances[i]);
     EXPECT_EQ(topk.rep_ids[i], before.rep_ids[i]);

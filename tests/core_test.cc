@@ -354,6 +354,20 @@ TEST(CrackingTest, AddExistingRepIsNoop) {
   EXPECT_EQ(index.num_representatives(), before);
 }
 
+TEST(CrackingTest, DuplicateIdInOneBatchAddsOneRep) {
+  data::Dataset ds = SmallDataset();
+  TastiIndex index = BuildSmallIndex(ds);
+  const size_t before = index.num_representatives();
+  size_t record = 0;
+  while (index.IsRepresentative(record)) ++record;
+  EXPECT_EQ(index.CrackFromLabels({record, record}, {ds.ground_truth[record],
+                                                     ds.ground_truth[record]}),
+            1u);
+  ASSERT_EQ(index.num_representatives(), before + 1);
+  EXPECT_EQ(index.rep_record_ids().back(), record);
+  EXPECT_EQ(index.rep_embeddings().rows(), before + 1);
+}
+
 TEST(CrackingTest, CrackFromCacheAddsQueryLabels) {
   data::Dataset ds = SmallDataset();
   TastiIndex index = BuildSmallIndex(ds);

@@ -421,6 +421,53 @@ TEST(RecoveryTest, CorruptSegmentQuarantinedNotFatal) {
   EXPECT_TRUE(again->stats.quarantined_files.empty());
 }
 
+TEST(RecoveryTest, InvalidCommittedMutationQuarantinedNotApplied) {
+  // Committed, well-framed mutations the index would reject: a crack id
+  // past the record count, a repair of a valid representative, and a
+  // repair past the representative count. Each must be refused before any
+  // batch of its segment is applied, exactly like bit rot.
+  enum class Bad { kCrackId, kRepairValidRep, kRepairPos };
+  for (Bad variant : {Bad::kCrackId, Bad::kRepairValidRep, Bad::kRepairPos}) {
+    DurableRig rig("recover_invalid_" +
+                   std::to_string(static_cast<int>(variant)));
+    const size_t checkpoint_reps = rig.index.num_representatives();
+    rig.CrackEpoch(2, {10, 20});
+
+    WalRecord bad;
+    bad.lsn = 3;
+    bad.labels.push_back(rig.ds.ground_truth[0]);
+    if (variant == Bad::kCrackId) {
+      bad.type = WalRecordType::kCrack;
+      bad.records = {rig.index.num_records() + 5};
+    } else {
+      bad.type = WalRecordType::kRepair;
+      bad.rep_pos = variant == Bad::kRepairValidRep
+                        ? 0
+                        : rig.index.num_representatives() + 5;
+    }
+    WalRecord marker;
+    marker.type = WalRecordType::kEpochPublish;
+    marker.lsn = 4;
+    marker.epoch = 3;
+    const std::string segment_path =
+        rig.dir + "/" +
+        SegmentFileName(rig.manager->stats().checkpoints_written);
+    ASSERT_TRUE(
+        rig.fs.Append(segment_path, EncodeWalRecord(bad) +
+                                        EncodeWalRecord(marker)).ok());
+
+    Result<RecoveredState> recovered = Recover(&rig.fs, rig.dir);
+    ASSERT_TRUE(recovered.ok()) << recovered.status().message();
+    EXPECT_EQ(recovered->epoch, 1u);
+    EXPECT_EQ(recovered->index.num_representatives(), checkpoint_reps);
+    ASSERT_EQ(recovered->stats.faults.size(), 1u);
+    EXPECT_NE(recovered->stats.faults[0].find("LSN 3"), std::string::npos)
+        << recovered->stats.faults[0];
+    EXPECT_EQ(recovered->stats.records_replayed, 0u);
+    EXPECT_FALSE(rig.fs.Exists(segment_path));
+  }
+}
+
 TEST(RecoveryTest, EmptyDirectoryIsNotFound) {
   File fs;
   Result<RecoveredState> recovered =

@@ -231,8 +231,7 @@ TEST(KernelsTest, ComputeTopKMatchesScalarReferenceOnRandomData) {
   for (size_t i = 0; i < points.rows(); ++i) {
     for (size_t j = 0; j < fast.k; ++j) {
       EXPECT_EQ(fast.RepId(i, j), ref.RepId(i, j)) << i << "," << j;
-      EXPECT_NEAR(fast.Dist(i, j), ref.Dist(i, j),
-                  1e-4f * std::max(1.0f, ref.Dist(i, j)));
+      EXPECT_EQ(fast.Dist(i, j), ref.Dist(i, j)) << i << "," << j;
     }
   }
 }
@@ -243,11 +242,8 @@ TEST(KernelsTest, ComputeTopKHandlesKLargerThanReps) {
   const auto topk = cluster::ComputeTopK(points, reps, 10);
   EXPECT_EQ(topk.k, 3u);  // clamped to the rep count
   const auto ref = ComputeTopKScalar(points, reps, 10);
-  for (size_t i = 0; i < points.rows(); ++i) {
-    for (size_t j = 0; j < topk.k; ++j) {
-      EXPECT_EQ(topk.RepId(i, j), ref.RepId(i, j));
-    }
-  }
+  EXPECT_EQ(topk.rep_ids, ref.rep_ids);
+  EXPECT_EQ(topk.distances, ref.distances);
 }
 
 TEST(KernelsTest, TopKDeterministicVsScalarOnSeedDataset) {
@@ -260,15 +256,52 @@ TEST(KernelsTest, TopKDeterministicVsScalarOnSeedDataset) {
   const nn::Matrix reps = features.GatherRows(rep_rows);
   const auto fast = cluster::ComputeTopK(features, reps, 5);
   const auto ref = ComputeTopKScalar(features, reps, 5);
-  for (size_t i = 0; i < features.rows(); ++i) {
-    for (size_t j = 0; j < fast.k; ++j) {
-      ASSERT_EQ(fast.RepId(i, j), ref.RepId(i, j)) << i << "," << j;
-    }
-  }
+  EXPECT_EQ(fast.rep_ids, ref.rep_ids);
+  EXPECT_EQ(fast.distances, ref.distances);
   // Run-to-run determinism of the batched implementation itself.
   const auto again = cluster::ComputeTopK(features, reps, 5);
   EXPECT_EQ(fast.rep_ids, again.rep_ids);
   EXPECT_EQ(fast.distances, again.distances);
+}
+
+TEST(KernelsTest, RelaxTopKCrackMatchesScalarOnGrownSet) {
+  // Near-duplicates with large norms: every point and rep sits within
+  // ~1e-2 of one shared vector of norm ~800, so the dot-trick's rounding
+  // error dwarfs the true distances and the skip bound must let every
+  // candidate through to the exact comparison.
+  nn::Matrix near_dup = RandomMatrix(400, 64, 41);
+  const nn::Matrix center = RandomMatrix(1, 64, 42);
+  for (size_t i = 0; i < near_dup.rows(); ++i) {
+    for (size_t c = 0; c < near_dup.cols(); ++c) {
+      near_dup.At(i, c) = 100.0f * center.At(0, c) + 1e-2f * near_dup.At(i, c);
+    }
+  }
+  struct Case {
+    nn::Matrix points;
+    nn::Matrix reps;  ///< base representatives followed by the crack batch
+    size_t base;
+  };
+  const nn::Matrix points = RandomMatrix(300, 64, 31);
+  std::vector<Case> cases;
+  // B = 1, B = 32, B spanning several 64-row tiles, B larger than the base.
+  for (size_t batch : {1u, 32u, 150u, 400u}) {
+    cases.push_back({points, RandomMatrix(130 + batch, 64, 32 + batch), 130});
+  }
+  std::vector<size_t> dup_reps;
+  for (size_t i = 0; i < 200; ++i) dup_reps.push_back(i * 2);
+  cases.push_back({near_dup, near_dup.GatherRows(dup_reps), 20});
+
+  for (const Case& c : cases) {
+    std::vector<size_t> base_rows(c.base);
+    for (size_t i = 0; i < c.base; ++i) base_rows[i] = i;
+    cluster::TopKDistances topk =
+        cluster::ComputeTopK(c.points, c.reps.GatherRows(base_rows), 5);
+    cluster::RelaxTopK(c.points, c.reps, c.base, &topk, nullptr);
+    const auto ref = ComputeTopKScalar(c.points, c.reps, 5);
+    EXPECT_EQ(topk.rep_ids, ref.rep_ids) << "batch " << c.reps.rows() - c.base;
+    EXPECT_EQ(topk.distances, ref.distances)
+        << "batch " << c.reps.rows() - c.base;
+  }
 }
 
 TEST(KernelsTest, FpfDeterministicVsScalarOnSeedDataset) {

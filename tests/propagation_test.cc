@@ -168,23 +168,26 @@ TEST(PropagationStateTest, IncrementalMatchesFullAfterBatchedCrack) {
   AdvanceAndCheck(&index, pedestrians, PropagationMode::kNumeric, &state);
 }
 
-TEST(PropagationStateTest, LargeCrackFallsBackToFullDelta) {
+TEST(PropagationStateTest, LargeCrackKeepsRowWiseDelta) {
   data::Dataset ds = SmallDataset(2000);
   IndexOptions opts = FastIndexOptions();
-  opts.num_representatives = 40;  // small base so the batch crosses the
-  opts.num_training_records = 40;  // full-rebuild threshold
+  opts.num_representatives = 40;  // small base: the batch below adds more
+  opts.num_training_records = 40;  // representatives than the index holds
   TastiIndex index = BuildSmallIndex(ds, opts);
   index.TakeDelta();
+
+  CountScorer cars(data::ObjectClass::kCar);
+  PropagationState state;
+  ComputeProxyState(index.View(), cars, PropagationMode::kNumeric, {}, &state);
 
   std::vector<size_t> records = NonRepRecords(index, 60);
   std::vector<data::LabelerOutput> labels;
   for (size_t r : records) labels.push_back(ds.ground_truth[r]);
   ASSERT_EQ(index.CrackFromLabels(records, labels), records.size());
 
-  // additions * 4 > old rep count -> the index rebuilt top-k wholesale and
-  // must report a full delta rather than pretend the rows are clean.
-  IndexDelta delta = index.TakeDelta();
-  EXPECT_TRUE(delta.full);
+  // Cracks of any size stay row-wise (AdvanceAndCheck asserts the delta is
+  // not full), and applying it incrementally equals a full recompute.
+  AdvanceAndCheck(&index, cars, PropagationMode::kNumeric, &state);
 }
 
 TEST(PropagationStateTest, IncrementalMatchesFullAfterDegradedRepair) {

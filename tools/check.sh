@@ -16,7 +16,10 @@
 #            compile-only — the tier1 stage already runs the suite. CI
 #            runs this on both gcc and clang.
 #   sanitize ASan + UBSan build of the tests closest to the raw-pointer
-#            kernel code plus the observability tests.
+#            kernel code, the observability and durability tests, and the
+#            core/propagation suites that drive cracks (RelaxTopK writing
+#            raw top-k arrays from pool workers) and epoch deltas through
+#            the index.
 #   chaos    ASan + UBSan build + the `chaos` ctest label: degraded
 #            builds, bit-identity under transient faults, breaker/retry
 #            behavior, integrity-footer corruption checks.
@@ -57,7 +60,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 usage() {
-  sed -n '2,54p' "$0" | sed 's/^# \{0,1\}//'
+  sed -n '2,57p' "$0" | sed 's/^# \{0,1\}//'
 }
 
 STAGES=()
@@ -132,14 +135,14 @@ stage_warn() {
 }
 
 stage_sanitize() {
-  echo "== sanitize: ASan/UBSan build of kernel + cluster + obs + durable tests =="
+  echo "== sanitize: ASan/UBSan build of kernel + cluster + obs + durable + core + propagation tests =="
   require_sanitizer address sanitize
   configure build-sanitize --preset sanitize
   cmake --build build-sanitize -j "$(nproc)" \
     --target kernels_test cluster_test nn_test util_test obs_test \
-    durable_test
+    durable_test core_test propagation_test
   for t in kernels_test cluster_test nn_test util_test obs_test \
-           durable_test; do
+           durable_test core_test propagation_test; do
     echo "-- build-sanitize/tests/$t"
     "build-sanitize/tests/$t"
   done
