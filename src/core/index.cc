@@ -3,8 +3,6 @@
 #include <algorithm>
 
 #include "cluster/fpf.h"
-#include "cluster/ivf.h"
-#include "cluster/kmeans.h"
 #include "embed/pretrained.h"
 #include "embed/triplet_trainer.h"
 #include "obs/metrics.h"
@@ -109,11 +107,6 @@ TastiIndex TastiIndex::Build(const data::Dataset& dataset,
         index.rep_record_ids_ = cluster::RandomSelection(
             dataset.size(), options.num_representatives, &rng);
         break;
-      case RepSelectionPolicy::kKMeans:
-        index.rep_record_ids_ = cluster::KMeansSelection(
-            index.embeddings_, options.num_representatives,
-            options.seed * 13 + 7);
-        break;
     }
     index.build_stats_.cluster_seconds = timer.Seconds();
   }
@@ -151,20 +144,12 @@ TastiIndex TastiIndex::Build(const data::Dataset& dataset,
   index.is_rep_.assign(dataset.size(), 0);
   for (size_t record : index.rep_record_ids_) index.is_rep_[record] = 1;
 
-  // Step 5: min-k distances (exact, or IVF-approximate at scale).
+  // Step 5: exact min-k distances.
   {
     TASTI_SPAN("index.min_k");
     WallTimer timer;
-    if (options.use_ivf) {
-      cluster::IvfOptions ivf_options;
-      ivf_options.num_probes = options.ivf_probes;
-      ivf_options.seed = options.seed * 11 + 3;
-      cluster::IvfIndex ivf(index.rep_embeddings_, ivf_options);
-      index.topk_ = ivf.SearchAll(index.embeddings_, options.k);
-    } else {
-      index.topk_ = cluster::ComputeTopK(index.embeddings_,
-                                         index.rep_embeddings_, options.k);
-    }
+    index.topk_ = cluster::ComputeTopK(index.embeddings_,
+                                       index.rep_embeddings_, options.k);
     index.build_stats_.distance_seconds = timer.Seconds();
   }
   return index;

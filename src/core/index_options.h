@@ -4,7 +4,8 @@
 /// \file index_options.h
 /// Construction parameters for a TASTI index (Algorithm 1), including the
 /// ablation switches exercised by the factor analysis / lesion study
-/// (paper Figures 9 and 10).
+/// (paper Figures 9 and 10). Min-k distances are always exact: no option
+/// trades them for an approximate search.
 
 #include <cstddef>
 #include <cstdint>
@@ -12,12 +13,10 @@
 namespace tasti::core {
 
 /// How cluster representatives are chosen (paper Section 3.2 uses FPF with
-/// a small random mixture; random and k-means are ablation baselines —
-/// k-means optimizes average quantization error and misses the rare tail).
+/// a small random mixture; random selection is the ablation baseline).
 enum class RepSelectionPolicy {
   kFpfMixed,  ///< FPF plus `random_rep_fraction` uniform picks (default)
   kRandom,    ///< uniform random (the Figures 9/10 ablation)
-  kKMeans,    ///< k-means centroids snapped to dataset members
 };
 
 /// All knobs of Make TASTI index(X, N1, N2, k).
@@ -59,16 +58,6 @@ struct IndexOptions {
 
   /// Representative selection policy (see RepSelectionPolicy).
   RepSelectionPolicy rep_selection = RepSelectionPolicy::kFpfMixed;
-
-  // --- Scalability knobs ---
-
-  /// Compute min-k distances through an IVF approximate-nearest-neighbor
-  /// index instead of brute force. Exact at small scale is fine; IVF cuts
-  /// the records x reps distance cost by ~(partitions / probes) with a
-  /// small recall loss (see cluster/ivf.h).
-  bool use_ivf = false;
-  /// IVF partitions probed per record when use_ivf is set.
-  size_t ivf_probes = 8;
 
   uint64_t seed = 42;
 };

@@ -14,8 +14,8 @@
 #include "embed/triplet_trainer.h"
 #include "labeler/label_codec.h"
 #include "nn/serialize.h"
+#include "util/bytes.h"
 #include "util/checksum.h"
-
 
 namespace tasti::core {
 
@@ -26,55 +26,24 @@ constexpr uint32_t kMagic = 0x54535449;  // "TSTI"
 // footer over the whole buffer.
 constexpr uint32_t kVersion = 3;
 
-// --- primitive writers/readers over a string buffer ---
-
-template <typename T>
-void Put(std::string* out, const T& value) {
-  static_assert(std::is_trivially_copyable_v<T>, "Put requires POD");
-  out->append(reinterpret_cast<const char*>(&value), sizeof(T));
-}
-
-template <typename T>
-bool Get(const std::string& in, size_t* at, T* value) {
-  static_assert(std::is_trivially_copyable_v<T>, "Get requires POD");
-  if (*at + sizeof(T) > in.size()) return false;
-  std::memcpy(value, in.data() + *at, sizeof(T));
-  *at += sizeof(T);
-  return true;
-}
-
-void PutMatrix(std::string* out, const nn::Matrix& m) {
-  Put<uint64_t>(out, m.rows());
-  Put<uint64_t>(out, m.cols());
-  out->append(reinterpret_cast<const char*>(m.data()), m.size() * sizeof(float));
-}
-
-bool GetMatrix(const std::string& in, size_t* at, nn::Matrix* m) {
-  uint64_t rows = 0, cols = 0;
-  if (!Get(in, at, &rows) || !Get(in, at, &cols)) return false;
-  const size_t bytes = static_cast<size_t>(rows * cols) * sizeof(float);
-  if (*at + bytes > in.size()) return false;
-  *m = nn::Matrix(rows, cols);
-  std::memcpy(m->data(), in.data() + *at, bytes);
-  *at += bytes;
-  return true;
-}
+// Largest pretrained random projection (in_dim x out_dim floats, 64 MiB)
+// a loaded index may ask for.
+constexpr uint64_t kMaxProjectionFloats = uint64_t{1} << 24;
 
 template <typename T>
 void PutVector(std::string* out, const std::vector<T>& v) {
   static_assert(std::is_trivially_copyable_v<T>, "PutVector requires POD");
-  Put<uint64_t>(out, v.size());
+  PutPod<uint64_t>(out, v.size());
   out->append(reinterpret_cast<const char*>(v.data()), v.size() * sizeof(T));
 }
 
 template <typename T>
 bool GetVector(const std::string& in, size_t* at, std::vector<T>* v) {
   uint64_t n = 0;
-  if (!Get(in, at, &n)) return false;
-  const size_t bytes = static_cast<size_t>(n) * sizeof(T);
-  if (*at + bytes > in.size()) return false;
+  if (!GetPod(in, at, &n) || !CountFits(in, *at, n, sizeof(T))) return false;
+  const size_t bytes = n * sizeof(T);
   v->resize(n);
-  std::memcpy(v->data(), in.data() + *at, bytes);
+  if (bytes > 0) std::memcpy(v->data(), in.data() + *at, bytes);
   *at += bytes;
   return true;
 }
@@ -83,15 +52,15 @@ bool GetVector(const std::string& in, size_t* at, std::vector<T>* v) {
 
 Result<std::string> IndexSerializer::SerializeToString(const TastiIndex& index) {
   std::string out;
-  Put<uint32_t>(&out, kMagic);
-  Put<uint32_t>(&out, kVersion);
+  PutPod<uint32_t>(&out, kMagic);
+  PutPod<uint32_t>(&out, kVersion);
 
   // Options (only the fields that affect interpretation of the payload).
-  Put<uint64_t>(&out, index.options().k);
-  Put<uint64_t>(&out, index.options().embedding_dim);
+  PutPod<uint64_t>(&out, index.options().k);
+  PutPod<uint64_t>(&out, index.options().embedding_dim);
 
-  PutMatrix(&out, index.embeddings_);
-  PutMatrix(&out, index.rep_embeddings_);
+  nn::PutMatrix(&out, index.embeddings_);
+  nn::PutMatrix(&out, index.rep_embeddings_);
 
   // Representative record ids as u64.
   std::vector<uint64_t> rep_ids(index.rep_record_ids_.begin(),
@@ -100,35 +69,35 @@ Result<std::string> IndexSerializer::SerializeToString(const TastiIndex& index) 
 
   // Labels use the shared codec (labeler/label_codec.h) — the same
   // encoding the write-ahead log stores per crack.
-  Put<uint64_t>(&out, index.rep_labels_.size());
+  PutPod<uint64_t>(&out, index.rep_labels_.size());
   for (const data::LabelerOutput& label : index.rep_labels_) {
     labeler::EncodeLabel(&out, label);
   }
   // v3: validity flags (0 marks a representative whose annotation failed).
   PutVector(&out, index.rep_label_valid_);
 
-  Put<uint64_t>(&out, index.topk_.k);
-  Put<uint64_t>(&out, index.topk_.num_records);
+  PutPod<uint64_t>(&out, index.topk_.k);
+  PutPod<uint64_t>(&out, index.topk_.num_records);
   PutVector(&out, index.topk_.rep_ids);
   PutVector(&out, index.topk_.distances);
 
   // Embedder block (v2): lets a loaded index ingest new records.
   if (const auto* pretrained = dynamic_cast<const embed::PretrainedEmbedder*>(
           index.embedder_.get())) {
-    Put<uint8_t>(&out, 1);
-    Put<uint64_t>(&out, pretrained->in_dim());
-    Put<uint64_t>(&out, pretrained->embedding_dim());
-    Put<uint64_t>(&out, pretrained->seed());
+    PutPod<uint8_t>(&out, 1);
+    PutPod<uint64_t>(&out, pretrained->in_dim());
+    PutPod<uint64_t>(&out, pretrained->embedding_dim());
+    PutPod<uint64_t>(&out, pretrained->seed());
   } else if (const auto* trained = dynamic_cast<const embed::TrainedEmbedder*>(
                  index.embedder_.get())) {
-    Put<uint8_t>(&out, 2);
-    Put<uint64_t>(&out, trained->embedding_dim());
+    PutPod<uint8_t>(&out, 2);
+    PutPod<uint64_t>(&out, trained->embedding_dim());
     Result<std::string> blob = nn::SerializeMlp(trained->model());
     TASTI_RETURN_NOT_OK(blob.status());
-    Put<uint64_t>(&out, blob->size());
+    PutPod<uint64_t>(&out, blob->size());
     out.append(*blob);
   } else {
-    Put<uint8_t>(&out, 0);  // no embedder (or an unknown custom type)
+    PutPod<uint8_t>(&out, 0);  // no embedder (or an unknown custom type)
   }
   AppendChecksumFooter(&out);
   return out;
@@ -141,23 +110,23 @@ Result<TastiIndex> IndexSerializer::DeserializeFromString(
   const std::string buffer = raw.substr(0, *payload_size);
   size_t at = 0;
   uint32_t magic = 0, version = 0;
-  if (!Get(buffer, &at, &magic) || magic != kMagic) {
+  if (!GetPod(buffer, &at, &magic) || magic != kMagic) {
     return Status::InvalidArgument("bad magic: not a TASTI index");
   }
-  if (!Get(buffer, &at, &version) || version != kVersion) {
+  if (!GetPod(buffer, &at, &version) || version != kVersion) {
     return Status::InvalidArgument("unsupported index version");
   }
 
   TastiIndex index;
   uint64_t k = 0, embedding_dim = 0;
-  if (!Get(buffer, &at, &k) || !Get(buffer, &at, &embedding_dim)) {
+  if (!GetPod(buffer, &at, &k) || !GetPod(buffer, &at, &embedding_dim)) {
     return Status::InvalidArgument("truncated header");
   }
   index.options_.k = k;
   index.options_.embedding_dim = embedding_dim;
 
-  if (!GetMatrix(buffer, &at, &index.embeddings_) ||
-      !GetMatrix(buffer, &at, &index.rep_embeddings_)) {
+  if (!nn::GetMatrix(buffer, &at, &index.embeddings_) ||
+      !nn::GetMatrix(buffer, &at, &index.rep_embeddings_)) {
     return Status::InvalidArgument("truncated embedding matrices");
   }
 
@@ -168,7 +137,7 @@ Result<TastiIndex> IndexSerializer::DeserializeFromString(
   index.rep_record_ids_.assign(rep_ids.begin(), rep_ids.end());
 
   uint64_t num_labels = 0;
-  if (!Get(buffer, &at, &num_labels)) {
+  if (!GetPod(buffer, &at, &num_labels)) {
     return Status::InvalidArgument("truncated label count");
   }
   if (num_labels != rep_ids.size()) {
@@ -193,16 +162,31 @@ Result<TastiIndex> IndexSerializer::DeserializeFromString(
   }
 
   uint64_t topk_k = 0, topk_n = 0;
-  if (!Get(buffer, &at, &topk_k) || !Get(buffer, &at, &topk_n) ||
+  if (!GetPod(buffer, &at, &topk_k) || !GetPod(buffer, &at, &topk_n) ||
       !GetVector(buffer, &at, &index.topk_.rep_ids) ||
       !GetVector(buffer, &at, &index.topk_.distances)) {
     return Status::InvalidArgument("truncated top-k block");
   }
   index.topk_.k = topk_k;
   index.topk_.num_records = topk_n;
-  if (index.topk_.rep_ids.size() != topk_k * topk_n ||
-      index.topk_.distances.size() != topk_k * topk_n) {
+  // Propagation reads rep_scores[RepId(r, j)] and every crack relaxes the
+  // lists against rep_embeddings_, so the block's shape and ids must agree
+  // with the rest of the index. k * n is checked by division: no overflow.
+  const size_t num_reps = rep_ids.size();
+  const size_t cells = index.topk_.rep_ids.size();
+  if (topk_k == 0 || topk_k > num_reps || cells % topk_k != 0 ||
+      cells / topk_k != topk_n || index.topk_.distances.size() != cells) {
     return Status::InvalidArgument("top-k block size mismatch");
+  }
+  if (topk_n != index.embeddings_.rows() ||
+      index.rep_embeddings_.rows() != num_reps ||
+      index.rep_embeddings_.cols() != index.embeddings_.cols()) {
+    return Status::InvalidArgument("top-k block does not match embeddings");
+  }
+  for (uint32_t id : index.topk_.rep_ids) {
+    if (id >= num_reps) {
+      return Status::InvalidArgument("top-k representative id out of range");
+    }
   }
 
   index.is_rep_.assign(index.embeddings_.rows(), 0);
@@ -214,7 +198,7 @@ Result<TastiIndex> IndexSerializer::DeserializeFromString(
   }
 
   uint8_t embedder_tag = 0;
-  if (!Get(buffer, &at, &embedder_tag)) {
+  if (!GetPod(buffer, &at, &embedder_tag)) {
     return Status::InvalidArgument("truncated embedder block");
   }
   switch (embedder_tag) {
@@ -222,9 +206,15 @@ Result<TastiIndex> IndexSerializer::DeserializeFromString(
       break;
     case 1: {
       uint64_t in_dim = 0, out_dim = 0, seed = 0;
-      if (!Get(buffer, &at, &in_dim) || !Get(buffer, &at, &out_dim) ||
-          !Get(buffer, &at, &seed)) {
+      if (!GetPod(buffer, &at, &in_dim) || !GetPod(buffer, &at, &out_dim) ||
+          !GetPod(buffer, &at, &seed)) {
         return Status::InvalidArgument("truncated pretrained embedder block");
+      }
+      // The projection is regenerated from the seed, so no payload bytes
+      // bound its size: cap it before allocating.
+      if (out_dim != index.embeddings_.cols() || in_dim == 0 ||
+          out_dim == 0 || in_dim > kMaxProjectionFloats / out_dim) {
+        return Status::InvalidArgument("implausible pretrained embedder shape");
       }
       index.embedder_ =
           std::make_unique<embed::PretrainedEmbedder>(in_dim, out_dim, seed);
@@ -232,9 +222,12 @@ Result<TastiIndex> IndexSerializer::DeserializeFromString(
     }
     case 2: {
       uint64_t dim = 0, blob_size = 0;
-      if (!Get(buffer, &at, &dim) || !Get(buffer, &at, &blob_size) ||
-          at + blob_size > buffer.size()) {
+      if (!GetPod(buffer, &at, &dim) || !GetPod(buffer, &at, &blob_size) ||
+          !CountFits(buffer, at, blob_size, 1)) {
         return Status::InvalidArgument("truncated trained embedder block");
+      }
+      if (dim != index.embeddings_.cols()) {
+        return Status::InvalidArgument("trained embedder width mismatch");
       }
       Result<nn::Mlp> model =
           nn::DeserializeMlp(buffer.substr(at, blob_size));

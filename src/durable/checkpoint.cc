@@ -1,10 +1,10 @@
 #include "durable/checkpoint.h"
 
 #include <cstdio>
-#include <cstring>
 #include <utility>
 
 #include "core/serialize.h"
+#include "util/bytes.h"
 #include "util/checksum.h"
 
 namespace tasti::durable {
@@ -14,35 +14,20 @@ namespace {
 constexpr uint32_t kManifestMagic = 0x4E4D5354;    // "TSMN"
 constexpr uint32_t kCheckpointMagic = 0x50435354;  // "TSCP"
 
-template <typename T>
-void Put(std::string* out, const T& value) {
-  static_assert(std::is_trivially_copyable_v<T>, "Put requires POD");
-  out->append(reinterpret_cast<const char*>(&value), sizeof(T));
-}
-
-template <typename T>
-bool Get(const std::string& in, size_t* at, T* value) {
-  static_assert(std::is_trivially_copyable_v<T>, "Get requires POD");
-  if (*at + sizeof(T) > in.size()) return false;
-  std::memcpy(value, in.data() + *at, sizeof(T));
-  *at += sizeof(T);
-  return true;
-}
-
 void PutMeta(std::string* out, const Manifest& meta) {
-  Put<uint64_t>(out, meta.checkpoint_seq);
-  Put<uint64_t>(out, meta.epoch);
-  Put<uint64_t>(out, meta.wal_segment);
-  Put<uint64_t>(out, meta.next_lsn);
-  Put<uint64_t>(out, meta.checkpoint_file.size());
+  PutPod<uint64_t>(out, meta.checkpoint_seq);
+  PutPod<uint64_t>(out, meta.epoch);
+  PutPod<uint64_t>(out, meta.wal_segment);
+  PutPod<uint64_t>(out, meta.next_lsn);
+  PutPod<uint64_t>(out, meta.checkpoint_file.size());
   out->append(meta.checkpoint_file);
 }
 
 bool GetMeta(const std::string& in, size_t* at, Manifest* meta) {
   uint64_t name_size = 0;
-  if (!Get(in, at, &meta->checkpoint_seq) || !Get(in, at, &meta->epoch) ||
-      !Get(in, at, &meta->wal_segment) || !Get(in, at, &meta->next_lsn) ||
-      !Get(in, at, &name_size) || *at + name_size > in.size()) {
+  if (!GetPod(in, at, &meta->checkpoint_seq) || !GetPod(in, at, &meta->epoch) ||
+      !GetPod(in, at, &meta->wal_segment) || !GetPod(in, at, &meta->next_lsn) ||
+      !GetPod(in, at, &name_size) || !CountFits(in, *at, name_size, 1)) {
     return false;
   }
   meta->checkpoint_file = in.substr(*at, name_size);
@@ -72,8 +57,8 @@ std::optional<uint64_t> ParseCheckpointFileName(const std::string& name) {
 
 std::string EncodeManifest(const Manifest& manifest, uint32_t version) {
   std::string out;
-  Put<uint32_t>(&out, kManifestMagic);
-  Put<uint32_t>(&out, version);
+  PutPod<uint32_t>(&out, kManifestMagic);
+  PutPod<uint32_t>(&out, version);
   PutMeta(&out, manifest);
   AppendChecksumFooter(&out);
   return out;
@@ -85,10 +70,10 @@ Result<Manifest> DecodeManifest(const std::string& buffer) {
   const std::string payload = buffer.substr(0, *payload_size);
   size_t at = 0;
   uint32_t magic = 0, version = 0;
-  if (!Get(payload, &at, &magic) || magic != kManifestMagic) {
+  if (!GetPod(payload, &at, &magic) || magic != kManifestMagic) {
     return Status::InvalidArgument("bad magic: not a TASTI manifest");
   }
-  if (!Get(payload, &at, &version) || version != kManifestVersion) {
+  if (!GetPod(payload, &at, &version) || version != kManifestVersion) {
     return Status::InvalidArgument("unsupported manifest version " +
                                    std::to_string(version));
   }
@@ -104,10 +89,10 @@ Result<std::string> EncodeCheckpoint(const core::TastiIndex& index,
   Result<std::string> blob = core::IndexSerializer::SerializeToString(index);
   TASTI_RETURN_NOT_OK(blob.status());
   std::string out;
-  Put<uint32_t>(&out, kCheckpointMagic);
-  Put<uint32_t>(&out, version);
+  PutPod<uint32_t>(&out, kCheckpointMagic);
+  PutPod<uint32_t>(&out, version);
   PutMeta(&out, meta);
-  Put<uint64_t>(&out, blob->size());
+  PutPod<uint64_t>(&out, blob->size());
   out.append(*blob);
   AppendChecksumFooter(&out);
   return out;
@@ -119,17 +104,18 @@ Result<CheckpointContents> DecodeCheckpoint(const std::string& buffer) {
   const std::string payload = buffer.substr(0, *payload_size);
   size_t at = 0;
   uint32_t magic = 0, version = 0;
-  if (!Get(payload, &at, &magic) || magic != kCheckpointMagic) {
+  if (!GetPod(payload, &at, &magic) || magic != kCheckpointMagic) {
     return Status::InvalidArgument("bad magic: not a TASTI checkpoint");
   }
-  if (!Get(payload, &at, &version) || version != kCheckpointVersion) {
+  if (!GetPod(payload, &at, &version) || version != kCheckpointVersion) {
     return Status::InvalidArgument("unsupported checkpoint version " +
                                    std::to_string(version));
   }
   CheckpointContents contents;
   uint64_t blob_size = 0;
   if (!GetMeta(payload, &at, &contents.meta) ||
-      !Get(payload, &at, &blob_size) || at + blob_size != payload.size()) {
+      !GetPod(payload, &at, &blob_size) ||
+      blob_size != payload.size() - at) {
     return Status::InvalidArgument("truncated checkpoint");
   }
   Result<core::TastiIndex> index = core::IndexSerializer::DeserializeFromString(

@@ -1,10 +1,11 @@
 #include "durable/wal.h"
 
 #include <cstdio>
-#include <cstring>
 #include <utility>
 
 #include "labeler/label_codec.h"
+#include "nn/serialize.h"
+#include "util/bytes.h"
 #include "util/checksum.h"
 
 namespace tasti::durable {
@@ -15,32 +16,22 @@ namespace {
 // (e.g. bit rot inside a length prefix that still lands in-bounds).
 constexpr size_t kMaxFrameBytes = 1ull << 30;
 
-template <typename T>
-void Put(std::string* out, const T& value) {
-  static_assert(std::is_trivially_copyable_v<T>, "Put requires POD");
-  out->append(reinterpret_cast<const char*>(&value), sizeof(T));
-}
-
-template <typename T>
-bool Get(const std::string& in, size_t* at, T* value) {
-  static_assert(std::is_trivially_copyable_v<T>, "Get requires POD");
-  if (*at + sizeof(T) > in.size()) return false;
-  std::memcpy(value, in.data() + *at, sizeof(T));
-  *at += sizeof(T);
-  return true;
-}
-
 bool DecodeBody(const std::string& payload, size_t at, WalRecord* record) {
   switch (record->type) {
     case WalRecordType::kCrack: {
+      // Each entry carries at least its 8-byte record id, which bounds
+      // the count by the bytes left before anything is reserved.
       uint64_t count = 0;
-      if (!Get(payload, &at, &count)) return false;
+      if (!GetPod(payload, &at, &count) ||
+          !CountFits(payload, at, count, sizeof(uint64_t))) {
+        return false;
+      }
       record->records.reserve(count);
       record->labels.reserve(count);
       for (uint64_t i = 0; i < count; ++i) {
         uint64_t record_id = 0;
         data::LabelerOutput label;
-        if (!Get(payload, &at, &record_id) ||
+        if (!GetPod(payload, &at, &record_id) ||
             !labeler::DecodeLabel(payload, &at, &label)) {
           return false;
         }
@@ -51,7 +42,7 @@ bool DecodeBody(const std::string& payload, size_t at, WalRecord* record) {
     }
     case WalRecordType::kRepair: {
       data::LabelerOutput label;
-      if (!Get(payload, &at, &record->rep_pos) ||
+      if (!GetPod(payload, &at, &record->rep_pos) ||
           !labeler::DecodeLabel(payload, &at, &label)) {
         return false;
       }
@@ -59,16 +50,11 @@ bool DecodeBody(const std::string& payload, size_t at, WalRecord* record) {
       return at == payload.size();
     }
     case WalRecordType::kAppend: {
-      uint64_t rows = 0, cols = 0;
-      if (!Get(payload, &at, &rows) || !Get(payload, &at, &cols)) return false;
-      const size_t bytes = static_cast<size_t>(rows * cols) * sizeof(float);
-      if (at + bytes != payload.size()) return false;
-      record->features = nn::Matrix(rows, cols);
-      std::memcpy(record->features.data(), payload.data() + at, bytes);
-      return true;
+      return nn::GetMatrix(payload, &at, &record->features) &&
+             at == payload.size();
     }
     case WalRecordType::kEpochPublish:
-      return Get(payload, &at, &record->epoch) && at == payload.size();
+      return GetPod(payload, &at, &record->epoch) && at == payload.size();
   }
   return false;
 }
@@ -94,34 +80,31 @@ std::optional<uint64_t> ParseSegmentFileName(const std::string& name) {
 
 std::string EncodeWalRecord(const WalRecord& record) {
   std::string payload;
-  Put<uint8_t>(&payload, static_cast<uint8_t>(record.type));
-  Put<uint64_t>(&payload, record.lsn);
+  PutPod<uint8_t>(&payload, static_cast<uint8_t>(record.type));
+  PutPod<uint64_t>(&payload, record.lsn);
   switch (record.type) {
     case WalRecordType::kCrack:
-      Put<uint64_t>(&payload, record.records.size());
+      PutPod<uint64_t>(&payload, record.records.size());
       for (size_t i = 0; i < record.records.size(); ++i) {
-        Put<uint64_t>(&payload, record.records[i]);
+        PutPod<uint64_t>(&payload, record.records[i]);
         labeler::EncodeLabel(&payload, record.labels[i]);
       }
       break;
     case WalRecordType::kRepair:
-      Put<uint64_t>(&payload, record.rep_pos);
+      PutPod<uint64_t>(&payload, record.rep_pos);
       labeler::EncodeLabel(&payload, record.labels.front());
       break;
     case WalRecordType::kAppend:
-      Put<uint64_t>(&payload, record.features.rows());
-      Put<uint64_t>(&payload, record.features.cols());
-      payload.append(reinterpret_cast<const char*>(record.features.data()),
-                     record.features.size() * sizeof(float));
+      nn::PutMatrix(&payload, record.features);
       break;
     case WalRecordType::kEpochPublish:
-      Put<uint64_t>(&payload, record.epoch);
+      PutPod<uint64_t>(&payload, record.epoch);
       break;
   }
   AppendChecksumFooter(&payload);
   std::string frame;
   frame.reserve(payload.size() + sizeof(uint32_t));
-  Put<uint32_t>(&frame, static_cast<uint32_t>(payload.size()));
+  PutPod<uint32_t>(&frame, static_cast<uint32_t>(payload.size()));
   frame.append(payload);
   return frame;
 }
@@ -133,7 +116,7 @@ WalSegment DecodeWalSegment(const std::string& buffer) {
   while (at < buffer.size()) {
     uint32_t frame_len = 0;
     size_t cursor = at;
-    if (!Get(buffer, &cursor, &frame_len)) break;  // torn length prefix
+    if (!GetPod(buffer, &cursor, &frame_len)) break;  // torn length prefix
     if (frame_len > kMaxFrameBytes) {
       segment.corrupt = true;
       segment.error = "implausible frame length " + std::to_string(frame_len);
@@ -151,8 +134,8 @@ WalSegment DecodeWalSegment(const std::string& buffer) {
     WalRecord record;
     size_t body_at = 0;
     uint8_t type = 0;
-    if (!Get(payload, &body_at, &type) ||
-        !Get(payload, &body_at, &record.lsn)) {
+    if (!GetPod(payload, &body_at, &type) ||
+        !GetPod(payload, &body_at, &record.lsn)) {
       segment.corrupt = true;
       segment.error = "truncated frame header";
       break;

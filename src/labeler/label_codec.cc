@@ -1,8 +1,9 @@
 #include "labeler/label_codec.h"
 
 #include <cstdint>
-#include <cstring>
 #include <utility>
+
+#include "util/bytes.h"
 
 namespace tasti::labeler {
 
@@ -10,64 +11,54 @@ namespace {
 
 enum class LabelTag : uint8_t { kVideo = 0, kText = 1, kSpeech = 2 };
 
-template <typename T>
-void Put(std::string* out, const T& value) {
-  static_assert(std::is_trivially_copyable_v<T>, "Put requires POD");
-  out->append(reinterpret_cast<const char*>(&value), sizeof(T));
-}
-
-template <typename T>
-bool Get(const std::string& in, size_t* at, T* value) {
-  static_assert(std::is_trivially_copyable_v<T>, "Get requires POD");
-  if (*at + sizeof(T) > in.size()) return false;
-  std::memcpy(value, in.data() + *at, sizeof(T));
-  *at += sizeof(T);
-  return true;
-}
+// Encoded size of one box: class byte plus four floats.
+constexpr size_t kBoxBytes = sizeof(uint8_t) + 4 * sizeof(float);
 
 }  // namespace
 
 void EncodeLabel(std::string* out, const data::LabelerOutput& label) {
   if (const auto* video = std::get_if<data::VideoLabel>(&label)) {
-    Put<uint8_t>(out, static_cast<uint8_t>(LabelTag::kVideo));
-    Put<uint32_t>(out, static_cast<uint32_t>(video->boxes.size()));
+    PutPod<uint8_t>(out, static_cast<uint8_t>(LabelTag::kVideo));
+    PutPod<uint32_t>(out, static_cast<uint32_t>(video->boxes.size()));
     for (const data::Box& box : video->boxes) {
-      Put<uint8_t>(out, static_cast<uint8_t>(box.cls));
-      Put<float>(out, box.x);
-      Put<float>(out, box.y);
-      Put<float>(out, box.w);
-      Put<float>(out, box.h);
+      PutPod<uint8_t>(out, static_cast<uint8_t>(box.cls));
+      PutPod<float>(out, box.x);
+      PutPod<float>(out, box.y);
+      PutPod<float>(out, box.w);
+      PutPod<float>(out, box.h);
     }
     return;
   }
   if (const auto* text = std::get_if<data::TextLabel>(&label)) {
-    Put<uint8_t>(out, static_cast<uint8_t>(LabelTag::kText));
-    Put<uint8_t>(out, static_cast<uint8_t>(text->op));
-    Put<int32_t>(out, text->num_predicates);
+    PutPod<uint8_t>(out, static_cast<uint8_t>(LabelTag::kText));
+    PutPod<uint8_t>(out, static_cast<uint8_t>(text->op));
+    PutPod<int32_t>(out, text->num_predicates);
     return;
   }
   const auto& speech = std::get<data::SpeechLabel>(label);
-  Put<uint8_t>(out, static_cast<uint8_t>(LabelTag::kSpeech));
-  Put<uint8_t>(out, static_cast<uint8_t>(speech.gender));
-  Put<int32_t>(out, speech.age_years);
+  PutPod<uint8_t>(out, static_cast<uint8_t>(LabelTag::kSpeech));
+  PutPod<uint8_t>(out, static_cast<uint8_t>(speech.gender));
+  PutPod<int32_t>(out, speech.age_years);
 }
 
 bool DecodeLabel(const std::string& in, size_t* at,
                  data::LabelerOutput* label) {
   uint8_t tag = 0;
-  if (!Get(in, at, &tag)) return false;
+  if (!GetPod(in, at, &tag)) return false;
   switch (static_cast<LabelTag>(tag)) {
     case LabelTag::kVideo: {
       uint32_t count = 0;
-      if (!Get(in, at, &count)) return false;
+      if (!GetPod(in, at, &count) || !CountFits(in, *at, count, kBoxBytes)) {
+        return false;
+      }
       data::VideoLabel video;
       video.boxes.reserve(count);
       for (uint32_t i = 0; i < count; ++i) {
         uint8_t cls = 0;
         data::Box box;
-        if (!Get(in, at, &cls) || !Get(in, at, &box.x) ||
-            !Get(in, at, &box.y) || !Get(in, at, &box.w) ||
-            !Get(in, at, &box.h)) {
+        if (!GetPod(in, at, &cls) || !GetPod(in, at, &box.x) ||
+            !GetPod(in, at, &box.y) || !GetPod(in, at, &box.w) ||
+            !GetPod(in, at, &box.h)) {
           return false;
         }
         box.cls = static_cast<data::ObjectClass>(cls);
@@ -79,7 +70,7 @@ bool DecodeLabel(const std::string& in, size_t* at,
     case LabelTag::kText: {
       uint8_t op = 0;
       int32_t preds = 0;
-      if (!Get(in, at, &op) || !Get(in, at, &preds)) return false;
+      if (!GetPod(in, at, &op) || !GetPod(in, at, &preds)) return false;
       data::TextLabel text;
       text.op = static_cast<data::SqlOp>(op);
       text.num_predicates = preds;
@@ -89,7 +80,7 @@ bool DecodeLabel(const std::string& in, size_t* at,
     case LabelTag::kSpeech: {
       uint8_t gender = 0;
       int32_t age = 0;
-      if (!Get(in, at, &gender) || !Get(in, at, &age)) return false;
+      if (!GetPod(in, at, &gender) || !GetPod(in, at, &age)) return false;
       data::SpeechLabel speech;
       speech.gender = static_cast<data::Gender>(gender);
       speech.age_years = age;

@@ -22,7 +22,8 @@ namespace tasti::labeler {
 void EncodeLabel(std::string* out, const data::LabelerOutput& label);
 
 /// Decodes one label from `in` at `*at`, advancing `*at` past it. Returns
-/// false (leaving `*label` unspecified) on truncation or an unknown tag.
+/// false (leaving `*label` unspecified) on truncation, on a box count the
+/// remaining bytes cannot hold, or on an unknown tag.
 bool DecodeLabel(const std::string& in, size_t* at, data::LabelerOutput* label);
 
 }  // namespace tasti::labeler

@@ -45,12 +45,6 @@ inline float SquaredDistanceFlat(const float* x, const float* y, size_t d) {
 
 }  // namespace
 
-std::vector<float> RowSquaredNorms(const Matrix& m) {
-  std::vector<float> norms(m.rows());
-  for (size_t r = 0; r < m.rows(); ++r) norms[r] = RowSquaredNorm(m, r);
-  return norms;
-}
-
 float RowSquaredNorm(const Matrix& m, size_t row) {
   const float* x = m.Row(row);
   float acc = 0.0f;
@@ -163,28 +157,6 @@ void SquaredDistanceOneToMany(const Matrix& m, size_t lo, size_t hi,
   const size_t d = m.cols();
   for (size_t i = lo; i < hi; ++i) {
     out[i - lo] = SquaredDistanceFlat(m.Row(i), y, d);
-  }
-}
-
-void SquaredDistanceOneToMany(const Matrix& m, size_t lo, size_t hi,
-                              const Matrix& centers, size_t c, float* out) {
-  TASTI_CHECK(m.cols() == centers.cols(), "OneToMany dimension mismatch");
-  SquaredDistanceOneToMany(m, lo, hi, centers.Row(c), out);
-}
-
-void SquaredDistanceGather(const Matrix& queries, size_t query_row,
-                           const Matrix& reps, const uint32_t* ids,
-                           size_t count, float* out) {
-  TASTI_CHECK(queries.cols() == reps.cols(), "Gather dimension mismatch");
-  if (obs::MetricsEnabled()) {
-    static obs::Counter* const rows =
-        obs::MetricsRegistry::Global().counter("kernels.gather.rows", "rows");
-    rows->Increment(count);
-  }
-  const float* q = queries.Row(query_row);
-  const size_t d = reps.cols();
-  for (size_t t = 0; t < count; ++t) {
-    out[t] = SquaredDistanceFlat(q, reps.Row(ids[t]), d);
   }
 }
 

@@ -5,17 +5,17 @@
 /// Batched, cache-blocked distance kernels.
 ///
 /// Index construction is dominated by all-records x all-representatives
-/// distance computations (top-k, FPF, IVF assignment, k-means, PQ
-/// codebooks). The scalar one-pair-at-a-time loops in matrix.cc are
-/// latency-bound: a float reduction is a dependent add chain the compiler
-/// may not reassociate. The kernels here restructure the work so the hot
-/// inner loops carry no loop-carried dependence and auto-vectorize:
+/// distance computations (min-k top-k lists, FPF). The scalar
+/// one-pair-at-a-time loops in matrix.cc are latency-bound: a float
+/// reduction is a dependent add chain the compiler may not reassociate.
+/// The kernels here restructure the work so the hot inner loops carry no
+/// loop-carried dependence and auto-vectorize:
 ///
 ///  * Many-representative batches use the dot-trick
 ///    `d2(x, y) = |x|^2 + |y|^2 - 2 x.y` over a register-blocked GEMM with
 ///    cached per-row norms, clamped at zero (the subtraction can go
 ///    slightly negative for near-duplicate rows).
-///  * One-center batches (FPF relax, PQ codebook scans) keep the
+///  * One-center batches (triplet-mining candidate scans) keep the
 ///    cancellation-free `(x - y)^2` form but split the depth reduction
 ///    across independent accumulator lanes.
 ///
@@ -35,12 +35,9 @@ namespace tasti::nn {
 /// records streams against it.
 inline constexpr size_t kDistanceBlockRows = 64;
 
-/// Per-row squared L2 norms, accumulated sequentially per row (the same
+/// Squared L2 norm of one row of `m`, accumulated sequentially (the same
 /// order the blocked GEMM uses along depth, so `d2(x, x)` cancels to zero
 /// exactly for bitwise-identical rows).
-std::vector<float> RowSquaredNorms(const Matrix& m);
-
-/// Squared L2 norm of one row of `m`.
 float RowSquaredNorm(const Matrix& m, size_t row);
 
 /// A tile of representative rows packed depth-major (dim x rows) so the
@@ -93,20 +90,10 @@ void SquaredDistanceBatch(const Matrix& points, size_t point_row,
 
 /// Cancellation-free one-to-many: out[i - lo] = |m_i - y|^2 for rows
 /// [lo, hi) of `m`; `y` holds m.cols() floats. Used where a single vector
-/// is compared against many rows (FPF relax, centroid routing, PQ
-/// codebook scans) and the dot-trick has no reuse to exploit.
+/// is compared against many rows (triplet-mining candidate scans) and the
+/// dot-trick has no reuse to exploit.
 void SquaredDistanceOneToMany(const Matrix& m, size_t lo, size_t hi,
                               const float* y, float* out);
-
-/// Overload: y = centers row `c`.
-void SquaredDistanceOneToMany(const Matrix& m, size_t lo, size_t hi,
-                              const Matrix& centers, size_t c, float* out);
-
-/// Gathered variant for IVF probe lists: out[t] = |q - reps[ids[t]]|^2
-/// where q = queries row `query_row`.
-void SquaredDistanceGather(const Matrix& queries, size_t query_row,
-                           const Matrix& reps, const uint32_t* ids,
-                           size_t count, float* out);
 
 /// Register-blocked C = A * B^T (same contract as GemmBT): B is packed
 /// into depth-major tiles once and every row of A streams against each

@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <cstring>
 
+#include "util/bytes.h"
 #include "util/checksum.h"
 
 namespace tasti::nn {
@@ -18,58 +19,46 @@ enum class LayerTag : uint8_t {
   kL2Normalize = 3,
 };
 
-template <typename T>
-void Put(std::string* out, const T& value) {
-  static_assert(std::is_trivially_copyable_v<T>, "Put requires POD");
-  out->append(reinterpret_cast<const char*>(&value), sizeof(T));
-}
-
-template <typename T>
-bool Get(const std::string& in, size_t* at, T* value) {
-  if (*at + sizeof(T) > in.size()) return false;
-  std::memcpy(value, in.data() + *at, sizeof(T));
-  *at += sizeof(T);
-  return true;
-}
+}  // namespace
 
 void PutMatrix(std::string* out, const Matrix& m) {
-  Put<uint64_t>(out, m.rows());
-  Put<uint64_t>(out, m.cols());
+  PutPod<uint64_t>(out, m.rows());
+  PutPod<uint64_t>(out, m.cols());
   out->append(reinterpret_cast<const char*>(m.data()), m.size() * sizeof(float));
 }
 
 bool GetMatrix(const std::string& in, size_t* at, Matrix* m) {
   uint64_t rows = 0, cols = 0;
-  if (!Get(in, at, &rows) || !Get(in, at, &cols)) return false;
-  const size_t bytes = static_cast<size_t>(rows * cols) * sizeof(float);
-  if (*at + bytes > in.size()) return false;
+  if (!GetPod(in, at, &rows) || !GetPod(in, at, &cols) ||
+      !GridFits(in, *at, rows, cols, sizeof(float))) {
+    return false;
+  }
+  const size_t bytes = rows * cols * sizeof(float);
   *m = Matrix(rows, cols);
-  std::memcpy(m->data(), in.data() + *at, bytes);
+  if (bytes > 0) std::memcpy(m->data(), in.data() + *at, bytes);
   *at += bytes;
   return true;
 }
 
-}  // namespace
-
 Result<std::string> SerializeMlp(const Mlp& mlp) {
   std::string out;
-  Put<uint32_t>(&out, kMagic);
-  Put<uint32_t>(&out, static_cast<uint32_t>(mlp.num_layers()));
+  PutPod<uint32_t>(&out, kMagic);
+  PutPod<uint32_t>(&out, static_cast<uint32_t>(mlp.num_layers()));
   Status layer_status = Status::OK();
   mlp.VisitLayers([&out, &layer_status](const Layer& layer) {
     if (!layer_status.ok()) return;
     const std::string name = layer.Name();
     if (name == "Linear") {
       const auto& lin = static_cast<const Linear&>(layer);
-      Put<uint8_t>(&out, static_cast<uint8_t>(LayerTag::kLinear));
+      PutPod<uint8_t>(&out, static_cast<uint8_t>(LayerTag::kLinear));
       PutMatrix(&out, const_cast<Linear&>(lin).weight().value);
       PutMatrix(&out, const_cast<Linear&>(lin).bias().value);
     } else if (name == "ReLU") {
-      Put<uint8_t>(&out, static_cast<uint8_t>(LayerTag::kReLU));
+      PutPod<uint8_t>(&out, static_cast<uint8_t>(LayerTag::kReLU));
     } else if (name == "Tanh") {
-      Put<uint8_t>(&out, static_cast<uint8_t>(LayerTag::kTanh));
+      PutPod<uint8_t>(&out, static_cast<uint8_t>(LayerTag::kTanh));
     } else if (name == "L2Normalize") {
-      Put<uint8_t>(&out, static_cast<uint8_t>(LayerTag::kL2Normalize));
+      PutPod<uint8_t>(&out, static_cast<uint8_t>(LayerTag::kL2Normalize));
     } else {
       layer_status =
           Status::InvalidArgument("unknown layer in SerializeMlp: " + name);
@@ -86,17 +75,18 @@ Result<Mlp> DeserializeMlp(const std::string& buffer) {
   const std::string payload = buffer.substr(0, *payload_size);
   size_t at = 0;
   uint32_t magic = 0, num_layers = 0;
-  if (!Get(payload, &at, &magic) || magic != kMagic) {
+  if (!GetPod(payload, &at, &magic) || magic != kMagic) {
     return Status::InvalidArgument("bad magic: not a serialized MLP");
   }
-  if (!Get(payload, &at, &num_layers)) {
+  if (!GetPod(payload, &at, &num_layers)) {
     return Status::InvalidArgument("truncated MLP header");
   }
   Mlp mlp;
   Rng dummy(0);
+  size_t width = 0;  // output width of the last Linear layer (0: none yet)
   for (uint32_t l = 0; l < num_layers; ++l) {
     uint8_t tag = 0;
-    if (!Get(payload, &at, &tag)) {
+    if (!GetPod(payload, &at, &tag)) {
       return Status::InvalidArgument("truncated layer tag");
     }
     switch (static_cast<LayerTag>(tag)) {
@@ -106,9 +96,12 @@ Result<Mlp> DeserializeMlp(const std::string& buffer) {
             !GetMatrix(payload, &at, &bias)) {
           return Status::InvalidArgument("truncated Linear weights");
         }
-        if (weight.cols() != bias.cols() || bias.rows() != 1) {
+        if (weight.rows() == 0 || weight.cols() == 0 ||
+            weight.cols() != bias.cols() || bias.rows() != 1 ||
+            (width != 0 && weight.rows() != width)) {
           return Status::InvalidArgument("inconsistent Linear shapes");
         }
+        width = weight.cols();
         auto layer =
             std::make_unique<Linear>(weight.rows(), weight.cols(), &dummy);
         layer->weight().value = std::move(weight);

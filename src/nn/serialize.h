@@ -6,6 +6,7 @@
 /// persisted with its index and reused to embed new records (streaming
 /// ingestion) without retraining.
 
+#include <cstddef>
 #include <string>
 
 #include "nn/mlp.h"
@@ -21,6 +22,15 @@ Result<std::string> SerializeMlp(const Mlp& mlp);
 /// Parses an MLP previously produced by SerializeMlp. The integrity footer
 /// is verified first, so truncated or bit-flipped buffers fail cleanly.
 Result<Mlp> DeserializeMlp(const std::string& buffer);
+
+/// Appends a matrix as u64 rows, u64 cols, then its floats row-major. The
+/// index serializer and the write-ahead log share this layout.
+void PutMatrix(std::string* out, const Matrix& m);
+
+/// Reads a PutMatrix block at `*at` and advances past it. Returns false,
+/// allocating nothing, when the block is truncated or its shape claims
+/// more floats than the bytes left (including a rows * cols overflow).
+bool GetMatrix(const std::string& in, size_t* at, Matrix* m);
 
 }  // namespace tasti::nn
 

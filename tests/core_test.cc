@@ -3,8 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
+#include <iterator>
 #include <set>
 
 #include "core/index.h"
@@ -17,6 +20,9 @@
 #include "data/dataset.h"
 #include "labeler/faults.h"
 #include "labeler/labeler.h"
+#include "util/bytes.h"
+#include "util/checksum.h"
+#include "util/random.h"
 #include "util/stats.h"
 
 namespace tasti::core {
@@ -505,47 +511,6 @@ TEST(StreamingTest, LoadedIndexCanAppend) {
   }
 }
 
-// ---------- IVF-backed build ----------
-
-TEST(IvfBuildTest, IvfIndexApproximatesExactBuild) {
-  data::Dataset ds = SmallDataset(3000);
-  IndexOptions exact_opts = FastIndexOptions();
-  exact_opts.num_representatives = 300;
-  TastiIndex exact = BuildSmallIndex(ds, exact_opts);
-
-  IndexOptions ivf_opts = exact_opts;
-  ivf_opts.use_ivf = true;
-  ivf_opts.ivf_probes = 6;
-  TastiIndex approx = BuildSmallIndex(ds, ivf_opts);
-
-  // Same reps (selection is independent of the distance backend).
-  ASSERT_EQ(exact.num_representatives(), approx.num_representatives());
-  // Nearest-rep recall of the IVF build should be high, and proxies close.
-  size_t hits = 0;
-  for (size_t i = 0; i < ds.size(); ++i) {
-    if (exact.topk().RepId(i, 0) == approx.topk().RepId(i, 0)) ++hits;
-  }
-  EXPECT_GT(static_cast<double>(hits) / ds.size(), 0.85);
-
-  CountScorer scorer(data::ObjectClass::kCar);
-  const auto exact_proxy = ComputeProxyScores(exact, scorer);
-  const auto approx_proxy = ComputeProxyScores(approx, scorer);
-  EXPECT_GT(PearsonCorrelation(exact_proxy, approx_proxy), 0.95);
-}
-
-TEST(IvfBuildTest, KMeansRepSelectionBuilds) {
-  data::Dataset ds = SmallDataset(1200);
-  IndexOptions opts = FastIndexOptions();
-  opts.rep_selection = RepSelectionPolicy::kKMeans;
-  opts.num_representatives = 100;
-  TastiIndex index = BuildSmallIndex(ds, opts);
-  EXPECT_EQ(index.num_representatives(), 100u);
-  CountScorer scorer(data::ObjectClass::kCar);
-  const auto proxy = ComputeProxyScores(index, scorer);
-  const auto truth = ExactScores(ds, scorer);
-  EXPECT_GT(PearsonCorrelation(proxy, truth), 0.4);
-}
-
 // ---------- Index statistics ----------
 
 TEST(IndexStatsTest, ComputesCoverageAndBalance) {
@@ -780,6 +745,76 @@ TEST(SerializeTest, RejectsTruncatedBuffer) {
   buffer.resize(buffer.size() / 2);
   Result<TastiIndex> r = IndexSerializer::DeserializeFromString(buffer);
   EXPECT_FALSE(r.ok());
+}
+
+TEST(SerializeTest, HugeRepIdCountIsRejected) {
+  // A valid footer over: header, two 0x0 matrices, then a representative
+  // id count of 2^61. Its byte size (2^61 * 8) wraps to zero, so the count
+  // must be bounded by the bytes left, not by that product.
+  std::string buffer;
+  for (uint32_t word : {0x54535449u, 3u}) PutPod(&buffer, word);
+  for (uint64_t word : {uint64_t{5}, uint64_t{16}, uint64_t{0}, uint64_t{0},
+                        uint64_t{0}, uint64_t{0}, uint64_t{1} << 61}) {
+    PutPod(&buffer, word);
+  }
+  AppendChecksumFooter(&buffer);
+  Result<TastiIndex> r = IndexSerializer::DeserializeFromString(buffer);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+}
+
+// One seeded corruption of `payload`: a random byte, a boundary value (a
+// huge count, shape or id) written over up to 8 bytes, or a truncation.
+void Mutate(Rng* rng, std::string* payload) {
+  static constexpr uint64_t kBoundary[] = {0,          1,          0xFF,
+                                           0x7FFFFFFF, 0xFFFFFFFF, 1ull << 32,
+                                           1ull << 40, 1ull << 61, 1ull << 63,
+                                           ~0ull};
+  const size_t at = rng->UniformInt(payload->size());
+  switch (rng->UniformInt(3)) {
+    case 0:
+      (*payload)[at] = static_cast<char>(rng->UniformInt(256));
+      break;
+    case 1: {
+      const uint64_t value = kBoundary[rng->UniformInt(std::size(kBoundary))];
+      std::memcpy(payload->data() + at, &value,
+                  std::min(sizeof(value), payload->size() - at));
+      break;
+    }
+    default:
+      payload->resize(at);
+  }
+}
+
+TEST(SerializeTest, MutatedBuffersDecodeOrFailCleanly) {
+  // The footer is recomputed after each mutation, so every input reaches
+  // the payload decoder. Each must either decode into an index that is
+  // safe to propagate over or return a Status; none may abort.
+  data::Dataset ds = SmallDataset(60);
+  CountScorer scorer(data::ObjectClass::kCar);
+  Rng rng(2024);
+  for (bool trained : {false, true}) {
+    IndexOptions opts = FastIndexOptions();
+    opts.use_triplet_training = trained;
+    opts.num_training_records = 20;
+    opts.num_representatives = 8;
+    opts.embedding_dim = 4;
+    opts.hidden_dim = 8;
+    opts.epochs = 2;
+    opts.k = 3;
+    const std::string buffer =
+        IndexSerializer::SerializeToString(BuildSmallIndex(ds, opts)).value();
+    const std::string payload =
+        buffer.substr(0, VerifyChecksumFooter(buffer).value());
+    for (int trial = 0; trial < 3000; ++trial) {
+      std::string mutated = payload;
+      Mutate(&rng, &mutated);
+      AppendChecksumFooter(&mutated);
+      Result<TastiIndex> r = IndexSerializer::DeserializeFromString(mutated);
+      if (!r.ok()) continue;
+      EXPECT_EQ(ComputeProxyScores(*r, scorer).size(), r->num_records());
+    }
+  }
 }
 
 TEST(SerializeTest, LoadMissingFileFails) {

@@ -7,7 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <cstring>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -21,7 +24,9 @@
 #include "durable/wal.h"
 #include "labeler/labeler.h"
 #include "serve/server.h"
+#include "util/bytes.h"
 #include "util/checksum.h"
+#include "util/random.h"
 
 namespace tasti::durable {
 namespace {
@@ -148,16 +153,19 @@ WalRecord CrackRecord(const data::Dataset& ds, uint64_t lsn,
   return record;
 }
 
-TEST(WalTest, RecordRoundTripAllTypes) {
-  data::Dataset ds = TestDataset(64);
-  std::string buffer = EncodeWalRecord(CrackRecord(ds, 1, {3, 9, 12}));
+// One record of each type: a crack of records {3, 9, 12} (LSN 1), a
+// repair of rep 5 (LSN 2), a 2x4 append (LSN 3) and an epoch-17 marker
+// (LSN 4).
+std::vector<WalRecord> AllTypeRecords(const data::Dataset& ds) {
+  std::vector<WalRecord> records;
+  records.push_back(CrackRecord(ds, 1, {3, 9, 12}));
 
   WalRecord repair;
   repair.type = WalRecordType::kRepair;
   repair.lsn = 2;
   repair.rep_pos = 5;
   repair.labels.push_back(ds.ground_truth[5]);
-  buffer += EncodeWalRecord(repair);
+  records.push_back(std::move(repair));
 
   WalRecord append;
   append.type = WalRecordType::kAppend;
@@ -168,13 +176,22 @@ TEST(WalTest, RecordRoundTripAllTypes) {
       append.features.At(r, c) = static_cast<float>(r * 4 + c) * 0.5f;
     }
   }
-  buffer += EncodeWalRecord(append);
+  records.push_back(std::move(append));
 
   WalRecord marker;
   marker.type = WalRecordType::kEpochPublish;
   marker.lsn = 4;
   marker.epoch = 17;
-  buffer += EncodeWalRecord(marker);
+  records.push_back(std::move(marker));
+  return records;
+}
+
+TEST(WalTest, RecordRoundTripAllTypes) {
+  data::Dataset ds = TestDataset(64);
+  std::string buffer;
+  for (const WalRecord& record : AllTypeRecords(ds)) {
+    buffer += EncodeWalRecord(record);
+  }
 
   WalSegment segment = DecodeWalSegment(buffer);
   EXPECT_FALSE(segment.corrupt);
@@ -226,6 +243,78 @@ TEST(WalTest, BitFlipMarksSegmentCorrupt) {
   WalSegment segment = DecodeWalSegment(buffer);
   EXPECT_TRUE(segment.corrupt);
   EXPECT_FALSE(segment.error.empty());
+}
+
+// Frames `payload` the way EncodeWalRecord does: u32 length, payload,
+// checksum footer.
+std::string Frame(std::string payload) {
+  AppendChecksumFooter(&payload);
+  std::string frame;
+  PutPod(&frame, static_cast<uint32_t>(payload.size()));
+  return frame + payload;
+}
+
+TEST(WalTest, HugeCrackCountMarksSegmentCorrupt) {
+  // One checksummed kCrack frame whose record count is 2^40 with no
+  // entries behind it: the count must be refused, not reserved.
+  std::string payload;
+  PutPod(&payload, static_cast<uint8_t>(WalRecordType::kCrack));
+  PutPod(&payload, uint64_t{1});        // lsn
+  PutPod(&payload, uint64_t{1} << 40);  // record count
+  WalSegment segment = DecodeWalSegment(Frame(payload));
+  EXPECT_TRUE(segment.corrupt);
+  EXPECT_FALSE(segment.error.empty());
+  EXPECT_TRUE(segment.records.empty());
+}
+
+// One seeded corruption of `payload`: a random byte, a boundary value (a
+// huge count or shape) written over up to 8 bytes, or a truncation.
+void Mutate(Rng* rng, std::string* payload) {
+  static constexpr uint64_t kBoundary[] = {0,          1,          0xFF,
+                                           0x7FFFFFFF, 0xFFFFFFFF, 1ull << 32,
+                                           1ull << 40, 1ull << 61, 1ull << 63,
+                                           ~0ull};
+  const size_t at = rng->UniformInt(payload->size());
+  switch (rng->UniformInt(3)) {
+    case 0:
+      (*payload)[at] = static_cast<char>(rng->UniformInt(256));
+      break;
+    case 1: {
+      const uint64_t value = kBoundary[rng->UniformInt(std::size(kBoundary))];
+      std::memcpy(payload->data() + at, &value,
+                  std::min(sizeof(value), payload->size() - at));
+      break;
+    }
+    default:
+      payload->resize(at);
+  }
+}
+
+TEST(WalTest, MutatedFramesDecodeOrMarkCorrupt) {
+  // Each trial corrupts one frame's payload and re-frames it with a fresh
+  // checksum, so the body decoder sees it. The segment must decode or be
+  // marked corrupt with an error; the decoder must never abort.
+  data::Dataset ds = TestDataset(64);
+  std::vector<std::string> payloads;
+  for (const WalRecord& record : AllTypeRecords(ds)) {
+    const std::string body = EncodeWalRecord(record).substr(sizeof(uint32_t));
+    payloads.push_back(body.substr(0, VerifyChecksumFooter(body).value()));
+  }
+  Rng rng(77);
+  for (int trial = 0; trial < 10000; ++trial) {
+    const size_t victim = rng.UniformInt(payloads.size());
+    std::string buffer;
+    for (size_t i = 0; i < payloads.size(); ++i) {
+      std::string payload = payloads[i];
+      if (i == victim) Mutate(&rng, &payload);
+      buffer += Frame(std::move(payload));
+    }
+    WalSegment segment = DecodeWalSegment(buffer);
+    EXPECT_EQ(segment.offsets.size(), segment.records.size() + 1);
+    if (segment.corrupt) {
+      EXPECT_FALSE(segment.error.empty());
+    }
+  }
 }
 
 TEST(WalTest, SegmentFileNamesRoundTrip) {
@@ -419,6 +508,26 @@ TEST(RecoveryTest, CorruptSegmentQuarantinedNotFatal) {
   EXPECT_EQ(IndexFingerprint(again->index),
             IndexFingerprint(recovered->index));
   EXPECT_TRUE(again->stats.quarantined_files.empty());
+}
+
+TEST(RecoveryTest, HugeCrackCountQuarantinedNotFatal) {
+  // A committed-looking frame whose crack count claims 2^40 entries:
+  // recovery must quarantine the segment rather than reserve for it.
+  DurableRig rig("recover_huge_count");
+  rig.CrackEpoch(2, {10, 20});
+  std::string payload;
+  PutPod(&payload, static_cast<uint8_t>(WalRecordType::kCrack));
+  PutPod(&payload, uint64_t{3});        // lsn
+  PutPod(&payload, uint64_t{1} << 40);  // record count
+  const std::string segment_path =
+      rig.dir + "/" + SegmentFileName(rig.manager->stats().checkpoints_written);
+  ASSERT_TRUE(rig.fs.Append(segment_path, Frame(payload)).ok());
+
+  Result<RecoveredState> recovered = Recover(&rig.fs, rig.dir);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().message();
+  EXPECT_EQ(recovered->epoch, 1u);
+  ASSERT_EQ(recovered->stats.quarantined_files.size(), 1u);
+  EXPECT_FALSE(rig.fs.Exists(segment_path));
 }
 
 TEST(RecoveryTest, InvalidCommittedMutationQuarantinedNotApplied) {

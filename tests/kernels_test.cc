@@ -112,19 +112,6 @@ cluster::FpfResult FurthestPointFirstScalar(const nn::Matrix& points, size_t k,
   return result;
 }
 
-TEST(KernelsTest, RowSquaredNormsMatchScalar) {
-  for (size_t cols : {1u, 7u, 64u, 130u}) {
-    const nn::Matrix m = RandomMatrix(17, cols, cols);
-    const std::vector<float> norms = nn::RowSquaredNorms(m);
-    ASSERT_EQ(norms.size(), m.rows());
-    for (size_t r = 0; r < m.rows(); ++r) {
-      float expected = 0.0f;
-      for (size_t c = 0; c < cols; ++c) expected += m.At(r, c) * m.At(r, c);
-      EXPECT_NEAR(norms[r], expected, 1e-4f * std::max(1.0f, expected));
-    }
-  }
-}
-
 TEST(KernelsTest, SquaredDistanceBatchMatchesScalarAcrossShapes) {
   for (size_t cols : {1u, 7u, 64u, 130u}) {
     const nn::Matrix points = RandomMatrix(23, cols, 100 + cols);
@@ -174,28 +161,19 @@ TEST(KernelsTest, EmptyBlockIsANoop) {
   EXPECT_EQ(sentinel, 42.0f);
 }
 
-TEST(KernelsTest, OneToManyAndGatherMatchScalar) {
+TEST(KernelsTest, OneToManyMatchesScalar) {
   for (size_t cols : {1u, 7u, 64u, 130u}) {
     const nn::Matrix points = RandomMatrix(37, cols, 300 + cols);
     const nn::Matrix centers = RandomMatrix(3, cols, 400 + cols);
     std::vector<float> d2(points.rows());
-    nn::SquaredDistanceOneToMany(points, 0, points.rows(), centers, 1,
+    nn::SquaredDistanceOneToMany(points, 0, points.rows(), centers.Row(1),
                                  d2.data());
     for (size_t i = 0; i < points.rows(); ++i) {
       const float exact = nn::SquaredDistance(points, i, centers, 1);
       EXPECT_NEAR(d2[i], exact, 1e-4f * std::max(1.0f, exact));
     }
-    const std::vector<uint32_t> ids = {5, 0, 36, 17, 17};
-    std::vector<float> gathered(ids.size());
-    nn::SquaredDistanceGather(centers, 2, points, ids.data(), ids.size(),
-                              gathered.data());
-    for (size_t t = 0; t < ids.size(); ++t) {
-      const float exact = nn::SquaredDistance(centers, 2, points, ids[t]);
-      EXPECT_NEAR(gathered[t], exact, 1e-4f * std::max(1.0f, exact));
-    }
-    // Empty ranges write nothing.
-    nn::SquaredDistanceOneToMany(points, 4, 4, centers, 0, nullptr);
-    nn::SquaredDistanceGather(centers, 0, points, ids.data(), 0, nullptr);
+    // An empty range writes nothing.
+    nn::SquaredDistanceOneToMany(points, 4, 4, centers.Row(0), nullptr);
   }
 }
 

@@ -1,12 +1,14 @@
 // Unit tests for labeler/: simulated and degraded labelers, the caching
-// wrapper, invocation counting, and the Table 1 cost model.
+// wrapper, invocation counting, the label codec, and the Table 1 cost
+// model.
 
 #include <gtest/gtest.h>
 
-#include "core/index.h"
+#include <string>
+
 #include "data/dataset.h"
 #include "labeler/cost_model.h"
-#include "labeler/crowd.h"
+#include "labeler/label_codec.h"
 #include "labeler/labeler.h"
 #include "obs/query_log.h"
 
@@ -132,107 +134,6 @@ TEST(CachingLabelerTest, ClearCacheForcesRelabel) {
   EXPECT_EQ(oracle.invocations(), 2u);
 }
 
-// ---------- Crowd labeler ----------
-
-TEST(CrowdLabelerTest, ChargesOneInvocationPerWorker) {
-  data::Dataset ds = SmallVideoDataset();
-  CrowdOptions opts;
-  opts.num_workers = 5;
-  CrowdLabeler crowd(&ds, opts);
-  crowd.Label(0);
-  crowd.Label(1);
-  EXPECT_EQ(crowd.invocations(), 10u);
-}
-
-TEST(CrowdLabelerTest, WorkerLabelsAreDeterministicAndDiverse) {
-  data::Dataset ds = SmallVideoDataset();
-  CrowdLabeler crowd(&ds, CrowdOptions{});
-  // Deterministic per (record, worker).
-  const auto a1 = crowd.WorkerLabel(5, 0);
-  const auto a2 = crowd.WorkerLabel(5, 0);
-  EXPECT_EQ(data::CountBoxes(a1), data::CountBoxes(a2));
-  // Workers disagree somewhere across the dataset.
-  bool any_disagreement = false;
-  for (size_t i = 0; i < ds.size() && !any_disagreement; ++i) {
-    any_disagreement = data::CountBoxes(crowd.WorkerLabel(i, 0)) !=
-                       data::CountBoxes(crowd.WorkerLabel(i, 1));
-  }
-  EXPECT_TRUE(any_disagreement);
-}
-
-TEST(CrowdLabelerTest, ConsensusBeatsSingleWorkerOnVideo) {
-  data::Dataset ds = SmallVideoDataset();
-  CrowdOptions noisy;
-  noisy.num_workers = 5;
-  noisy.box_miss_probability = 0.25;
-  CrowdLabeler crowd(&ds, noisy);
-  double consensus_err = 0.0, single_err = 0.0;
-  for (size_t i = 0; i < ds.size(); ++i) {
-    const int truth = data::CountBoxes(ds.ground_truth[i]);
-    consensus_err += std::abs(data::CountBoxes(crowd.Label(i)) - truth);
-    single_err += std::abs(data::CountBoxes(crowd.WorkerLabel(i, 0)) - truth);
-  }
-  EXPECT_LE(consensus_err, single_err);
-}
-
-TEST(CrowdLabelerTest, TextConsensusMajorityVote) {
-  data::DatasetOptions opts;
-  opts.num_records = 400;
-  data::Dataset ds = data::MakeWikiSql(opts);
-  CrowdOptions crowd_opts;
-  crowd_opts.num_workers = 5;
-  crowd_opts.text_error_probability = 0.2;
-  CrowdLabeler crowd(&ds, crowd_opts);
-  size_t consensus_correct = 0, single_correct = 0;
-  for (size_t i = 0; i < ds.size(); ++i) {
-    const auto& truth = std::get<data::TextLabel>(ds.ground_truth[i]);
-    const auto merged = std::get<data::TextLabel>(crowd.Label(i));
-    const auto single = std::get<data::TextLabel>(crowd.WorkerLabel(i, 0));
-    if (merged.op == truth.op) ++consensus_correct;
-    if (single.op == truth.op) ++single_correct;
-  }
-  EXPECT_GE(consensus_correct, single_correct);
-  // 5-way majority vote over 20%-noisy workers is near-perfect.
-  EXPECT_GT(static_cast<double>(consensus_correct) / ds.size(), 0.95);
-}
-
-TEST(CrowdLabelerTest, SpeechConsensusReducesAgeNoise) {
-  data::DatasetOptions opts;
-  opts.num_records = 400;
-  data::Dataset ds = data::MakeCommonVoice(opts);
-  CrowdOptions crowd_opts;
-  crowd_opts.num_workers = 5;
-  CrowdLabeler crowd(&ds, crowd_opts);
-  double consensus_err = 0.0, single_err = 0.0;
-  for (size_t i = 0; i < ds.size(); ++i) {
-    const auto& truth = std::get<data::SpeechLabel>(ds.ground_truth[i]);
-    const auto merged = std::get<data::SpeechLabel>(crowd.Label(i));
-    const auto single = std::get<data::SpeechLabel>(crowd.WorkerLabel(i, 0));
-    consensus_err += std::abs(merged.age_years - truth.age_years);
-    single_err += std::abs(single.age_years - truth.age_years);
-  }
-  EXPECT_LT(consensus_err, single_err);
-}
-
-TEST(CrowdLabelerTest, WorksAsIndexTargetLabeler) {
-  // A TASTI index can be built directly against the crowd consensus.
-  data::DatasetOptions opts;
-  opts.num_records = 800;
-  data::Dataset ds = data::MakeWikiSql(opts);
-  CrowdLabeler crowd(&ds, CrowdOptions{});
-  tasti::core::IndexOptions index_opts;
-  index_opts.num_training_records = 100;
-  index_opts.num_representatives = 100;
-  index_opts.embedding_dim = 16;
-  index_opts.epochs = 6;
-  tasti::core::TastiIndex index =
-      tasti::core::TastiIndex::Build(ds, &crowd, index_opts);
-  EXPECT_EQ(index.num_representatives(), 100u);
-  // Each of the <= 200 annotated records costs num_workers invocations.
-  EXPECT_LE(crowd.invocations(), 200u * 3u);
-  EXPECT_GE(crowd.invocations(), 100u * 3u);
-}
-
 // ---------- Wrapper invocation contract ----------
 //
 // TargetLabeler::invocations() is documented as "including those of
@@ -297,20 +198,49 @@ TEST(WrapperContractTest, TimedOverCachingChargesLikeCaching) {
   ASSERT_EQ(cache.labeled_indices().size(), 1u);
 }
 
+// A labeler that charges several invocations per Label() call, the way a
+// crowd of independent workers bills each annotation.
+class MultiWorkerLabeler : public TargetLabeler {
+ public:
+  MultiWorkerLabeler(const data::Dataset* ds, size_t workers)
+      : oracle_(ds), workers_(workers) {}
+  data::LabelerOutput Label(size_t index) override {
+    invocations_ += workers_;
+    return oracle_.Label(index);
+  }
+  size_t num_records() const override { return oracle_.num_records(); }
+  size_t invocations() const override { return invocations_; }
+  void ResetInvocations() override { invocations_ = 0; }
+
+ private:
+  SimulatedLabeler oracle_;
+  size_t workers_;
+  size_t invocations_ = 0;
+};
+
 TEST(WrapperContractTest, CrowdWrappedInCacheChargesWorkersOnce) {
-  // A CrowdLabeler charges num_workers invocations per distinct record;
+  // A five-worker labeler charges five invocations per distinct record;
   // caching on top must preserve that (not collapse it to one, not
   // double-charge repeats).
   data::Dataset ds = SmallVideoDataset();
-  CrowdOptions opts;
-  opts.num_workers = 5;
-  CrowdLabeler crowd(&ds, opts);
+  MultiWorkerLabeler crowd(&ds, 5);
   CachingLabeler cache(&crowd);
   cache.Label(0);
   cache.Label(0);
   cache.Label(1);
   EXPECT_EQ(crowd.invocations(), 10u);
   EXPECT_EQ(cache.invocations(), 10u);
+}
+
+// ---------- Label codec ----------
+
+TEST(LabelCodecTest, BoxCountBeyondBufferIsRejected) {
+  // A video tag followed by a box count of 2^32 - 1 and no boxes: the
+  // count must be refused before any boxes are reserved for it.
+  const std::string buffer("\x00\xff\xff\xff\xff", 5);
+  size_t at = 0;
+  data::LabelerOutput label;
+  EXPECT_FALSE(DecodeLabel(buffer, &at, &label));
 }
 
 // ---------- Cost model ----------

@@ -6,6 +6,9 @@
 
 #include <cmath>
 #include <memory>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "nn/layers.h"
 #include "nn/matrix.h"
@@ -14,6 +17,8 @@
 #include "nn/random_projection.h"
 #include "nn/serialize.h"
 #include "nn/triplet.h"
+#include "util/bytes.h"
+#include "util/checksum.h"
 #include "util/random.h"
 
 namespace tasti::nn {
@@ -523,6 +528,27 @@ TEST(MlpSerializeTest, RejectsGarbageAndTruncation) {
   std::string blob = SerializeMlp(net).value();
   blob.resize(blob.size() / 2);
   EXPECT_FALSE(DeserializeMlp(blob).ok());
+}
+
+TEST(MlpSerializeTest, RejectsEmptyAndMisChainedLinearLayers) {
+  // Checksummed blobs whose Linear shapes are well framed but unusable: a
+  // layer with no inputs, and a second layer whose input width does not
+  // match the first one's output. Both must fail to decode, not abort.
+  auto blob = [](const std::vector<std::pair<size_t, size_t>>& shapes) {
+    std::string out;
+    PutPod(&out, uint32_t{0x4D4C5054});  // "MLPT"
+    PutPod(&out, static_cast<uint32_t>(shapes.size()));
+    for (const auto& [in, out_dim] : shapes) {
+      PutPod(&out, uint8_t{0});  // Linear
+      PutMatrix(&out, Matrix(in, out_dim));
+      PutMatrix(&out, Matrix(1, out_dim));
+    }
+    AppendChecksumFooter(&out);
+    return out;
+  };
+  EXPECT_TRUE(DeserializeMlp(blob({{3, 4}, {4, 2}})).ok());
+  EXPECT_FALSE(DeserializeMlp(blob({{0, 4}})).ok());
+  EXPECT_FALSE(DeserializeMlp(blob({{3, 4}, {5, 2}})).ok());
 }
 
 // ---------- Random projection ----------

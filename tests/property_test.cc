@@ -11,7 +11,6 @@
 #include <tuple>
 
 #include "cluster/fpf.h"
-#include "cluster/ivf.h"
 #include "cluster/topk.h"
 #include "core/index.h"
 #include "core/propagation.h"
@@ -350,33 +349,6 @@ TEST_P(AggregationTargetTest, AchievedErrorWithinTarget) {
 
 INSTANTIATE_TEST_SUITE_P(Targets, AggregationTargetTest,
                          ::testing::Values(0.02, 0.05, 0.1));
-
-// ---------- IVF recall over probe counts ----------
-
-class IvfProbeSweepTest : public ::testing::TestWithParam<size_t> {};
-
-TEST_P(IvfProbeSweepTest, RecallGrowsWithProbes) {
-  const size_t probes = GetParam();
-  nn::Matrix reps = RandomPoints(600, 16, 71);
-  nn::Matrix queries = RandomPoints(400, 16, 72);
-  cluster::IvfOptions opts;
-  opts.num_partitions = 24;
-  opts.num_probes = probes;
-  cluster::IvfIndex ivf(reps, opts);
-  const cluster::TopKDistances approx = ivf.SearchAll(queries, 1);
-  const cluster::TopKDistances exact = cluster::ComputeTopK(queries, reps, 1);
-  size_t hits = 0;
-  for (size_t i = 0; i < queries.rows(); ++i) {
-    if (approx.RepId(i, 0) == exact.RepId(i, 0)) ++hits;
-  }
-  const double recall = static_cast<double>(hits) / queries.rows();
-  // Wider probes must clear successively higher recall floors.
-  const double floor = probes >= 24 ? 0.999 : (probes >= 8 ? 0.85 : 0.5);
-  EXPECT_GE(recall, floor) << "probes=" << probes;
-}
-
-INSTANTIATE_TEST_SUITE_P(Probes, IvfProbeSweepTest,
-                         ::testing::Values<size_t>(2, 4, 8, 24));
 
 // ---------- SUPG guarantees over budgets ----------
 

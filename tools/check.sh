@@ -16,10 +16,12 @@
 #            compile-only — the tier1 stage already runs the suite. CI
 #            runs this on both gcc and clang.
 #   sanitize ASan + UBSan build of the tests closest to the raw-pointer
-#            kernel code, the observability and durability tests, and the
+#            kernel code, the observability and durability tests, the
 #            core/propagation suites that drive cracks (RelaxTopK writing
 #            raw top-k arrays from pool workers) and epoch deltas through
-#            the index.
+#            the index, and the labeler suite with the label-codec cases.
+#            The byte decoders (label codec, index, WAL) are fed corrupt
+#            and mutated inputs here.
 #   chaos    ASan + UBSan build + the `chaos` ctest label: degraded
 #            builds, bit-identity under transient faults, breaker/retry
 #            behavior, integrity-footer corruption checks.
@@ -60,7 +62,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 usage() {
-  sed -n '2,57p' "$0" | sed 's/^# \{0,1\}//'
+  sed -n '2,59p' "$0" | sed 's/^# \{0,1\}//'
 }
 
 STAGES=()
@@ -135,14 +137,14 @@ stage_warn() {
 }
 
 stage_sanitize() {
-  echo "== sanitize: ASan/UBSan build of kernel + cluster + obs + durable + core + propagation tests =="
+  echo "== sanitize: ASan/UBSan build of kernel + cluster + obs + durable + core + propagation + labeler tests =="
   require_sanitizer address sanitize
   configure build-sanitize --preset sanitize
   cmake --build build-sanitize -j "$(nproc)" \
     --target kernels_test cluster_test nn_test util_test obs_test \
-    durable_test core_test propagation_test
+    durable_test core_test propagation_test labeler_test
   for t in kernels_test cluster_test nn_test util_test obs_test \
-           durable_test core_test propagation_test; do
+           durable_test core_test propagation_test labeler_test; do
     echo "-- build-sanitize/tests/$t"
     "build-sanitize/tests/$t"
   done
