@@ -87,6 +87,30 @@ inline cluster::TopKDistances ComputeTopKScalar(const nn::Matrix& points,
   return topk;
 }
 
+/// Scalar crack relax: merges reps [first_rep, reps.rows()) into existing
+/// min-k lists, one scalar distance per (record, new rep) pair, records on
+/// the outside and reps in ascending id (ties to the lower id).
+inline void RelaxTopKScalar(const nn::Matrix& points, const nn::Matrix& reps,
+                            size_t first_rep, cluster::TopKDistances* topk) {
+  const size_t k = topk->k;
+  for (size_t i = 0; i < points.rows(); ++i) {
+    float* dist = topk->distances.data() + i * k;
+    uint32_t* ids = topk->rep_ids.data() + i * k;
+    for (size_t j = first_rep; j < reps.rows(); ++j) {
+      const float d = ScalarDistance(points, i, reps, j);
+      if (!(d < dist[k - 1])) continue;
+      size_t pos = k - 1;
+      while (pos > 0 && dist[pos - 1] > d) {
+        dist[pos] = dist[pos - 1];
+        ids[pos] = ids[pos - 1];
+        --pos;
+      }
+      dist[pos] = d;
+      ids[pos] = static_cast<uint32_t>(j);
+    }
+  }
+}
+
 /// Pre-kernel FPF relax pass: one scalar distance per point against the
 /// new center, plus the min-distance update and running argmax.
 inline size_t FpfRelaxScalar(const nn::Matrix& points, size_t center,

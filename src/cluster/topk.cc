@@ -33,8 +33,10 @@ void RelaxTopK(const nn::Matrix& points, const nn::Matrix& reps,
   const size_t k = topk->k;
   if (k == 0 || first_rep == reps.rows()) return;
 
-  // New representatives packed once into depth-major L1-sized tiles; every
-  // record streams against each tile via the dot-trick batch kernel.
+  // New representatives packed once into depth-major 16 KiB tiles. Each
+  // chunk of records walks the tiles on the outside and its own records on
+  // the inside, so a tile stays L1-resident while the chunk streams against
+  // it; every record still sees the new reps in ascending id.
   const std::vector<nn::PackedBlock> blocks = nn::PackBlocks(reps, first_rep);
 
   // Skip bound. With unit roundoff u and g = (dim + 3) u, the batch kernel's
@@ -42,54 +44,80 @@ void RelaxTopK(const nn::Matrix& points, const nn::Matrix& reps,
   // exact formula returns at least D (1 - g). So d2 > t2 + 4g (t2 + |x|^2 +
   // |y|^2), with t2 = thr * thr, implies the exact distance is >= thr. The
   // slack below is twice that 4g, to absorb the rounding of the test itself.
+  // The tile kernel never fuses a multiply-add, on any ISA, so the bound
+  // holds for every variant.
   const float slack = 4.0f * static_cast<float>(reps.cols() + 4) *
                       std::numeric_limits<float>::epsilon();
+  auto cutoff_for = [slack](float thr, float point_norm) {
+    const float thr2 = thr * thr;
+    return thr2 + slack * (thr2 + point_norm);
+  };
+
+  // Relaxes records [lo, lo + m), m <= kChunk, appending the ids of those
+  // whose list changed to `chunk_dirty`.
+  constexpr size_t kChunk = 256;
+  auto relax_chunk = [&](size_t lo, size_t m,
+                         std::vector<uint32_t>* chunk_dirty) {
+    float point_norm[kChunk];
+    float cutoff[kChunk];
+    bool changed[kChunk] = {};
+    float dist2[nn::kTileRecords * nn::kDistanceBlockRows];
+    for (size_t r = 0; r < m; ++r) {
+      point_norm[r] = nn::RowSquaredNorm(points, lo + r);
+      cutoff[r] = cutoff_for(topk->distances[(lo + r) * k + k - 1],
+                             point_norm[r]);
+    }
+    for (const nn::PackedBlock& block : blocks) {
+      const size_t nb = block.rows();
+      const float* rep_norms = block.norms();
+      for (size_t r0 = 0; r0 < m; r0 += nn::kTileRecords) {
+        const size_t count = std::min(nn::kTileRecords, m - r0);
+        nn::SquaredDistanceTile(points, lo + r0, count, point_norm + r0,
+                                block, dist2);
+        for (size_t t = 0; t < count; ++t) {
+          const size_t r = r0 + t;
+          const size_t i = lo + r;
+          const float* d2 = dist2 + t * nb;
+          float* dist = topk->distances.data() + i * k;
+          uint32_t* ids = topk->rep_ids.data() + i * k;
+          for (size_t j = 0; j < nb; ++j) {
+            if (d2[j] > cutoff[r] + slack * rep_norms[j]) continue;
+            const uint32_t rep = static_cast<uint32_t>(block.row_begin() + j);
+            const float d = nn::Distance(points, i, reps, rep);
+            if (!(d < dist[k - 1])) continue;
+            size_t pos = k - 1;
+            while (pos > 0 && dist[pos - 1] > d) {
+              dist[pos] = dist[pos - 1];
+              ids[pos] = ids[pos - 1];
+              --pos;
+            }
+            dist[pos] = d;
+            ids[pos] = rep;
+            cutoff[r] = cutoff_for(dist[k - 1], point_norm[r]);
+            changed[r] = true;
+          }
+        }
+      }
+    }
+    for (size_t r = 0; r < m; ++r) {
+      if (changed[r]) chunk_dirty->push_back(static_cast<uint32_t>(lo + r));
+    }
+  };
 
   std::mutex dirty_mu;
   ParallelForDynamic(0, points.rows(), [&](size_t lo, size_t hi,
                                            size_t /*worker*/) {
-    std::vector<float> dist2(nn::kDistanceBlockRows);
+    // A nested or single-worker call gets the whole range at once.
     std::vector<uint32_t> chunk_dirty;
-    for (size_t i = lo; i < hi; ++i) {
-      float* dist = topk->distances.data() + i * k;
-      uint32_t* ids = topk->rep_ids.data() + i * k;
-      const float point_norm = nn::RowSquaredNorm(points, i);
-      auto cutoff_for = [&](float thr) {
-        const float thr2 = thr * thr;
-        return thr2 + slack * (thr2 + point_norm);
-      };
-      float cutoff = cutoff_for(dist[k - 1]);
-      bool changed = false;
-      for (const nn::PackedBlock& block : blocks) {
-        nn::SquaredDistanceBatch(points, i, point_norm, block, dist2.data());
-        const float* rep_norms = block.norms();
-        for (size_t j = 0; j < block.rows(); ++j) {
-          if (dist2[j] > cutoff + slack * rep_norms[j]) continue;
-          const uint32_t rep = static_cast<uint32_t>(block.row_begin() + j);
-          const float d = nn::Distance(points, i, reps, rep);
-          if (!(d < dist[k - 1])) continue;
-          size_t pos = k - 1;
-          while (pos > 0 && dist[pos - 1] > d) {
-            dist[pos] = dist[pos - 1];
-            ids[pos] = ids[pos - 1];
-            --pos;
-          }
-          dist[pos] = d;
-          ids[pos] = rep;
-          cutoff = cutoff_for(dist[k - 1]);
-          changed = true;
-        }
-      }
-      if (changed && dirty_rows != nullptr) {
-        chunk_dirty.push_back(static_cast<uint32_t>(i));
-      }
+    for (size_t c = lo; c < hi; c += kChunk) {
+      relax_chunk(c, std::min(kChunk, hi - c), &chunk_dirty);
     }
-    if (!chunk_dirty.empty()) {
+    if (dirty_rows != nullptr && !chunk_dirty.empty()) {
       std::lock_guard<std::mutex> lock(dirty_mu);
       dirty_rows->insert(dirty_rows->end(), chunk_dirty.begin(),
                          chunk_dirty.end());
     }
-  }, 256);
+  }, kChunk);
 }
 
 }  // namespace tasti::cluster

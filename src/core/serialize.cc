@@ -85,7 +85,7 @@ Result<std::string> IndexSerializer::SerializeToString(const TastiIndex& index) 
   if (const auto* pretrained = dynamic_cast<const embed::PretrainedEmbedder*>(
           index.embedder_.get())) {
     PutPod<uint8_t>(&out, 1);
-    PutPod<uint64_t>(&out, pretrained->in_dim());
+    PutPod<uint64_t>(&out, pretrained->input_dim());
     PutPod<uint64_t>(&out, pretrained->embedding_dim());
     PutPod<uint64_t>(&out, pretrained->seed());
   } else if (const auto* trained = dynamic_cast<const embed::TrainedEmbedder*>(
@@ -239,6 +239,9 @@ Result<TastiIndex> IndexSerializer::DeserializeFromString(
     }
     default:
       return Status::InvalidArgument("unknown embedder tag");
+  }
+  if (at != buffer.size()) {
+    return Status::InvalidArgument("trailing bytes after embedder block");
   }
   return index;
 }

@@ -65,7 +65,8 @@ std::string FindInvalidMutation(const core::TastiIndex& index,
         rep_valid[record.rep_pos] = 1;
         break;
       case WalRecordType::kAppend:
-        if (index.embedder() == nullptr || record.features.rows() == 0) {
+        if (index.embedder() == nullptr || record.features.rows() == 0 ||
+            record.features.cols() != index.embedder()->input_dim()) {
           return fault("append the index cannot embed");
         }
         num_records += record.features.rows();

@@ -21,6 +21,10 @@ class Embedder {
 
   /// Output dimensionality.
   virtual size_t embedding_dim() const = 0;
+
+  /// Feature width Embed accepts: every input row must have this many
+  /// columns.
+  virtual size_t input_dim() const = 0;
 };
 
 }  // namespace tasti::embed

@@ -24,9 +24,9 @@ class PretrainedEmbedder : public Embedder {
 
   nn::Matrix Embed(const nn::Matrix& features) const override;
   size_t embedding_dim() const override { return out_dim_; }
+  size_t input_dim() const override { return in_dim_; }
 
-  // Construction parameters, exposed for serialization.
-  size_t in_dim() const { return in_dim_; }
+  /// Construction parameter, exposed for serialization.
   uint64_t seed() const { return seed_; }
 
  private:

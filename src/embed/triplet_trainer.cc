@@ -15,7 +15,16 @@
 namespace tasti::embed {
 
 TrainedEmbedder::TrainedEmbedder(nn::Mlp model, size_t embedding_dim)
-    : model_(std::move(model)), embedding_dim_(embedding_dim) {}
+    : model_(std::move(model)),
+      embedding_dim_(embedding_dim),
+      input_dim_(embedding_dim) {
+  bool found = false;
+  model_.VisitLayers([&](const nn::Layer& layer) {
+    if (found || layer.Name() != "Linear") return;
+    input_dim_ = static_cast<const nn::Linear&>(layer).in_dim();
+    found = true;
+  });
+}
 
 nn::Matrix TrainedEmbedder::Embed(const nn::Matrix& features) const {
   nn::Matrix out(features.rows(), embedding_dim_);

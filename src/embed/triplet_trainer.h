@@ -30,12 +30,16 @@ class TrainedEmbedder : public Embedder {
   /// Batched, multithreaded inference over record blocks.
   nn::Matrix Embed(const nn::Matrix& features) const override;
   size_t embedding_dim() const override { return embedding_dim_; }
+  /// The width of the model's first Linear layer; a model without one
+  /// keeps the width, so it takes embedding_dim-wide rows.
+  size_t input_dim() const override { return input_dim_; }
 
   const nn::Mlp& model() const { return model_; }
 
  private:
   nn::Mlp model_;
   size_t embedding_dim_;
+  size_t input_dim_;
 };
 
 /// Triplet training hyperparameters.

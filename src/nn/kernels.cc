@@ -1,6 +1,7 @@
 #include "nn/kernels.h"
 
 #include <algorithm>
+#include <cstring>
 
 #include "obs/metrics.h"
 #include "util/status.h"
@@ -143,6 +144,152 @@ void SquaredDistanceBatch(const Matrix& points, size_t point_row,
                           const PackedBlock& block, float* out) {
   SquaredDistanceBatch(points, point_row, RowSquaredNorm(points, point_row),
                        block, out);
+}
+
+namespace {
+
+/// GCC/clang vectors of 4, 8 and 16 floats: the native register width at
+/// baseline x86-64 (xmm), AVX2 (ymm) and AVX-512F (zmm). Each lane is
+/// plain IEEE single precision, so it rounds exactly as a scalar would.
+typedef float Float4 __attribute__((vector_size(4 * sizeof(float))));
+typedef float Float8 __attribute__((vector_size(8 * sizeof(float))));
+typedef float Float16 __attribute__((vector_size(16 * sizeof(float))));
+
+/// Reps per register tile: one 64-byte packed row segment.
+constexpr size_t kTileReps = 16;
+
+/// Squared distances of R records (row pointers `x`) against the `width`
+/// packed-block columns starting at `tile` (row stride `nb`), written to
+/// out[r * nb + u]. Each output accumulates sequentially over depth from
+/// 0.0f, then takes (|x|^2 + |y|^2) - 2 dot with a clamp at zero: the
+/// exact arithmetic of DotBatch + SquaredDistanceBatch, so every variant
+/// below returns its bits. A full 16-column tile keeps its R x 16
+/// accumulators in registers of vector type V, so one packed load feeds
+/// R multiply-adds; a block's ragged tail (width < 16) takes the scalar
+/// loop. Force-inlined so each target-specific wrapper compiles it for
+/// its own ISA.
+template <typename V, size_t R>
+__attribute__((always_inline)) inline void SquaredDistanceColumns(
+    const float* const* x, const float* point_norms, const float* tile,
+    const float* rep_norms, size_t nb, size_t d, size_t width, float* out) {
+  if (width == kTileReps) {
+    constexpr size_t kLanes = sizeof(V) / sizeof(float);
+    constexpr size_t kVecs = kTileReps / kLanes;
+    V acc[R][kVecs] = {};
+    for (size_t p = 0; p < d; ++p) {
+      float xv[R];
+      for (size_t r = 0; r < R; ++r) xv[r] = x[r][p];
+      for (size_t v = 0; v < kVecs; ++v) {
+        V row;
+        std::memcpy(&row, tile + p * nb + v * kLanes, sizeof(row));
+        for (size_t r = 0; r < R; ++r) acc[r][v] += xv[r] * row;
+      }
+    }
+    for (size_t r = 0; r < R; ++r) {
+      for (size_t v = 0; v < kVecs; ++v) {
+        V norms;
+        std::memcpy(&norms, rep_norms + v * kLanes, sizeof(norms));
+        const V d2 = point_norms[r] + norms - 2.0f * acc[r][v];
+        for (size_t u = 0; u < kLanes; ++u) {
+          out[r * nb + v * kLanes + u] = d2[u] > 0.0f ? d2[u] : 0.0f;
+        }
+      }
+    }
+    return;
+  }
+  for (size_t r = 0; r < R; ++r) {
+    for (size_t u = 0; u < width; ++u) {
+      float acc = 0.0f;
+      for (size_t p = 0; p < d; ++p) acc += x[r][p] * tile[p * nb + u];
+      const float d2 = point_norms[r] + rep_norms[u] - 2.0f * acc;
+      out[r * nb + u] = d2 > 0.0f ? d2 : 0.0f;
+    }
+  }
+}
+
+/// R records against a whole packed block, 16 reps at a time.
+template <typename V, size_t R>
+__attribute__((always_inline)) inline void SquaredDistanceTileBody(
+    const float* const* x, const float* point_norms, const PackedBlock& block,
+    float* out) {
+  const size_t nb = block.rows();
+  for (size_t j0 = 0; j0 < nb; j0 += kTileReps) {
+    SquaredDistanceColumns<V, R>(x, point_norms, block.packed() + j0,
+                                 block.norms() + j0, nb, block.dim(),
+                                 std::min(kTileReps, nb - j0), out + j0);
+  }
+}
+
+/// Dispatches `count` records to the R = kTileRecords tile, or one by one
+/// for a short tail.
+template <typename V>
+__attribute__((always_inline)) inline void SquaredDistanceTileRows(
+    const Matrix& points, size_t first_row, size_t count,
+    const float* point_norms, const PackedBlock& block, float* out) {
+  const float* x[kTileRecords];
+  for (size_t r = 0; r < count; ++r) x[r] = points.Row(first_row + r);
+  if (count == kTileRecords) {
+    SquaredDistanceTileBody<V, kTileRecords>(x, point_norms, block, out);
+    return;
+  }
+  for (size_t r = 0; r < count; ++r) {
+    SquaredDistanceTileBody<V, 1>(x + r, point_norms + r, block,
+                                  out + r * block.rows());
+  }
+}
+
+void SquaredDistanceTileBaseline(const Matrix& points, size_t first_row,
+                                 size_t count, const float* point_norms,
+                                 const PackedBlock& block, float* out) {
+  SquaredDistanceTileRows<Float4>(points, first_row, count, point_norms, block,
+                                  out);
+}
+
+#if defined(__x86_64__)
+__attribute__((target("avx2"))) void SquaredDistanceTileAvx2(
+    const Matrix& points, size_t first_row, size_t count,
+    const float* point_norms, const PackedBlock& block, float* out) {
+  SquaredDistanceTileRows<Float8>(points, first_row, count, point_norms, block,
+                                  out);
+}
+
+__attribute__((target("avx512f"))) void SquaredDistanceTileAvx512(
+    const Matrix& points, size_t first_row, size_t count,
+    const float* point_norms, const PackedBlock& block, float* out) {
+  SquaredDistanceTileRows<Float16>(points, first_row, count, point_norms,
+                                   block, out);
+}
+#endif
+
+}  // namespace
+
+namespace internal {
+
+std::vector<TileKernel> HostTileKernels() {
+  std::vector<TileKernel> kernels = {{"baseline", SquaredDistanceTileBaseline}};
+#if defined(__x86_64__)
+  __builtin_cpu_init();
+  if (__builtin_cpu_supports("avx2")) {
+    kernels.push_back({"avx2", SquaredDistanceTileAvx2});
+  }
+  if (__builtin_cpu_supports("avx512f")) {
+    kernels.push_back({"avx512f", SquaredDistanceTileAvx512});
+  }
+#endif
+  return kernels;
+}
+
+}  // namespace internal
+
+void SquaredDistanceTile(const Matrix& points, size_t first_row, size_t count,
+                         const float* point_norms, const PackedBlock& block,
+                         float* out) {
+  TASTI_CHECK(points.cols() == block.dim(), "tile dimension mismatch");
+  TASTI_CHECK(count >= 1 && count <= kTileRecords &&
+                  first_row + count <= points.rows(),
+              "tile record range out of bounds");
+  static const auto kernel = internal::HostTileKernels().back().fn;
+  kernel(points, first_row, count, point_norms, block, out);
 }
 
 void SquaredDistanceOneToMany(const Matrix& m, size_t lo, size_t hi,

@@ -19,8 +19,12 @@
 ///    cancellation-free `(x - y)^2` form but split the depth reduction
 ///    across independent accumulator lanes.
 ///
+///  * The crack relax screens a chunk of records against each tile with a
+///    multi-record register tile (SquaredDistanceTile), dispatched by ISA.
+///
 /// All kernels accumulate each output element sequentially over the depth
-/// dimension, so results are deterministic and independent of threading.
+/// dimension, so results are deterministic and independent of threading
+/// and of the ISA variant that runs.
 
 #include <cstddef>
 #include <cstdint>
@@ -87,6 +91,40 @@ void SquaredDistanceBatch(const Matrix& points, size_t point_row,
 /// Convenience overload that computes the point norm itself.
 void SquaredDistanceBatch(const Matrix& points, size_t point_row,
                           const PackedBlock& block, float* out);
+
+/// Records per register tile of SquaredDistanceTile.
+inline constexpr size_t kTileRecords = 4;
+
+/// SquaredDistanceBatch for `count` (1..kTileRecords) consecutive records
+/// [first_row, first_row + count) of `points` at once:
+/// out[r * block.rows() + j] is the squared distance of record
+/// first_row + r to row j of the block, and `point_norms[r]` must be
+/// RowSquaredNorm(points, first_row + r). A 4-record x 16-rep register
+/// tile makes each packed load feed four multiply-adds.
+///
+/// The tile is compiled for baseline x86-64, AVX2 and AVX-512F, and the
+/// widest variant the CPU supports is picked once. kernels.cc is built
+/// with -ffp-contract=off, so no variant fuses a multiply and an add, and
+/// every output sums over depth in the same sequential order: all variants
+/// return exactly the bits SquaredDistanceBatch does.
+void SquaredDistanceTile(const Matrix& points, size_t first_row, size_t count,
+                         const float* point_norms, const PackedBlock& block,
+                         float* out);
+
+namespace internal {
+
+/// One compiled variant of SquaredDistanceTile, same contract.
+struct TileKernel {
+  const char* isa;  ///< "baseline", "avx2" or "avx512f"
+  void (*fn)(const Matrix& points, size_t first_row, size_t count,
+             const float* point_norms, const PackedBlock& block, float* out);
+};
+
+/// The variants this CPU can run, narrowest first. SquaredDistanceTile
+/// dispatches to the last one. Exposed so tests can check each variant.
+std::vector<TileKernel> HostTileKernels();
+
+}  // namespace internal
 
 /// Cancellation-free one-to-many: out[i - lo] = |m_i - y|^2 for rows
 /// [lo, hi) of `m`; `y` holds m.cols() floats. Used where a single vector

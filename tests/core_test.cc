@@ -763,6 +763,24 @@ TEST(SerializeTest, HugeRepIdCountIsRejected) {
   EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
 }
 
+TEST(SerializeTest, TrailingBytesAreRejected) {
+  // Sixteen bytes after the embedder block, under a footer recomputed over
+  // them: the payload decodes in full but is not the whole buffer.
+  data::Dataset ds = SmallDataset(200);
+  IndexOptions opts = FastIndexOptions();
+  opts.num_representatives = 30;
+  opts.num_training_records = 30;
+  const std::string buffer =
+      IndexSerializer::SerializeToString(BuildSmallIndex(ds, opts)).value();
+  ASSERT_TRUE(IndexSerializer::DeserializeFromString(buffer).ok());
+  std::string padded = buffer.substr(0, VerifyChecksumFooter(buffer).value());
+  padded.append(16, '\x5a');
+  AppendChecksumFooter(&padded);
+  Result<TastiIndex> r = IndexSerializer::DeserializeFromString(padded);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+}
+
 // One seeded corruption of `payload`: a random byte, a boundary value (a
 // huge count, shape or id) written over up to 8 bytes, or a truncation.
 void Mutate(Rng* rng, std::string* payload) {

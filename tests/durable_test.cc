@@ -577,6 +577,38 @@ TEST(RecoveryTest, InvalidCommittedMutationQuarantinedNotApplied) {
   }
 }
 
+TEST(RecoveryTest, WidthMismatchedAppendQuarantinedNotFatal) {
+  // A committed append of 3-wide rows to an index whose embedder takes the
+  // dataset's feature width: replaying it would abort inside the
+  // projection, so recovery must quarantine the segment instead.
+  DurableRig rig("recover_append_width");
+  const size_t checkpoint_records = rig.index.num_records();
+  ASSERT_EQ(rig.index.embedder()->input_dim(), rig.ds.features.cols());
+  ASSERT_NE(rig.ds.features.cols(), 3u);
+  rig.CrackEpoch(2, {10, 20});
+
+  WalRecord append;
+  append.type = WalRecordType::kAppend;
+  append.lsn = 3;
+  append.features = nn::Matrix(2, 3);
+  WalRecord marker;
+  marker.type = WalRecordType::kEpochPublish;
+  marker.lsn = 4;
+  marker.epoch = 3;
+  const std::string segment_path =
+      rig.dir + "/" + SegmentFileName(rig.manager->stats().checkpoints_written);
+  ASSERT_TRUE(rig.fs.Append(segment_path, EncodeWalRecord(append) +
+                                              EncodeWalRecord(marker)).ok());
+
+  Result<RecoveredState> recovered = Recover(&rig.fs, rig.dir);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().message();
+  EXPECT_EQ(recovered->epoch, 1u);
+  EXPECT_EQ(recovered->index.num_records(), checkpoint_records);
+  ASSERT_EQ(recovered->stats.quarantined_files.size(), 1u);
+  EXPECT_EQ(recovered->stats.records_replayed, 0u);
+  EXPECT_FALSE(rig.fs.Exists(segment_path));
+}
+
 TEST(RecoveryTest, EmptyDirectoryIsNotFound) {
   File fs;
   Result<RecoveredState> recovered =

@@ -282,6 +282,130 @@ TEST(KernelsTest, RelaxTopKCrackMatchesScalarOnGrownSet) {
   }
 }
 
+TEST(KernelsTest, EveryTileIsaMatchesSquaredDistanceBatchBitForBit) {
+  // Each ISA variant of the register tile against the one-row batch kernel,
+  // compared as floats with ==: every variant must return the same bits.
+  // Block widths cover a lone rep, fewer than 16, a ragged 16-multiple
+  // tail and a full 64-row tile; record counts cover 1..kTileRecords.
+  const std::vector<nn::internal::TileKernel> kernels =
+      nn::internal::HostTileKernels();
+  ASSERT_FALSE(kernels.empty());
+  EXPECT_STREQ(kernels.front().isa, "baseline");
+  for (size_t cols : {1u, 7u, 64u, 130u}) {
+    nn::Matrix points = RandomMatrix(11, cols, 500 + cols);
+    // Rows 9 and 10 duplicate rows 0 and 1: their distances to the reps
+    // that copy them must clamp to exactly zero on every variant.
+    points.SetRow(9, points, 0);
+    points.SetRow(10, points, 1);
+    nn::Matrix reps = RandomMatrix(64, cols, 600 + cols);
+    reps.SetRow(3, points, 0);
+    reps.SetRow(40, points, 1);
+    std::vector<float> norms(points.rows());
+    for (size_t i = 0; i < points.rows(); ++i) {
+      norms[i] = nn::RowSquaredNorm(points, i);
+    }
+    for (size_t width : {1u, 5u, 16u, 23u, 41u, 64u}) {
+      nn::PackedBlock block;
+      block.Pack(reps, 0, width);
+      std::vector<float> want(width);
+      std::vector<float> got(nn::kTileRecords * width);
+      for (const nn::internal::TileKernel& kernel : kernels) {
+        for (size_t count = 1; count <= nn::kTileRecords; ++count) {
+          for (size_t first = 0; first + count <= points.rows(); ++first) {
+            kernel.fn(points, first, count, norms.data() + first, block,
+                      got.data());
+            for (size_t r = 0; r < count; ++r) {
+              nn::SquaredDistanceBatch(points, first + r, norms[first + r],
+                                       block, want.data());
+              for (size_t j = 0; j < width; ++j) {
+                ASSERT_EQ(got[r * width + j], want[j])
+                    << kernel.isa << " cols=" << cols << " width=" << width
+                    << " count=" << count << " record=" << first + r
+                    << " rep=" << j;
+              }
+            }
+          }
+        }
+      }
+      if (width > 40) {
+        nn::SquaredDistanceTile(points, 9, 2, norms.data() + 9, block,
+                                got.data());
+        EXPECT_EQ(got[3], 0.0f);
+        EXPECT_EQ(got[width + 40], 0.0f);
+      }
+    }
+  }
+}
+
+TEST(KernelsTest, RelaxTopKRaggedShapesMatchScalarAndReportDirtyRows) {
+  // Record counts off the 4-record tile and the 256-record chunk, crack
+  // batches below, off and on the 16-rep tile and the 64-row block, reps
+  // that duplicate each other and the records (exact ties, which go to the
+  // lower id), and k above the base rep count. The dirty rows must be
+  // exactly the rows whose list changed, each reported once.
+  struct Shape {
+    size_t records, base, batch, k;
+  };
+  const Shape shapes[] = {{1, 3, 1, 5},      {3, 7, 5, 4},
+                          {257, 20, 16, 5},  {519, 40, 23, 5},
+                          {300, 2, 80, 10},  {1030, 64, 150, 3}};
+  for (const Shape& s : shapes) {
+    SCOPED_TRACE(::testing::Message()
+                 << "records=" << s.records << " base=" << s.base
+                 << " batch=" << s.batch << " k=" << s.k);
+    nn::Matrix points = RandomMatrix(s.records, 16, s.records + s.batch);
+    nn::Matrix reps = RandomMatrix(s.base + s.batch, 16, s.base * 7 + s.k);
+    // Ties: a new rep copying an old one, two identical new reps, and a
+    // new rep copying a record.
+    reps.SetRow(s.base, reps, 0);
+    if (s.batch > 2) reps.SetRow(s.base + 2, reps, s.base + 1);
+    if (s.batch > 3) reps.SetRow(s.base + 3, points, s.records / 2);
+    std::vector<size_t> base_rows(s.base);
+    for (size_t i = 0; i < s.base; ++i) base_rows[i] = i;
+    const cluster::TopKDistances before =
+        cluster::ComputeTopK(points, reps.GatherRows(base_rows), s.k);
+    EXPECT_EQ(before.k, std::min(s.k, s.base));
+    const auto ref_before =
+        ComputeTopKScalar(points, reps.GatherRows(base_rows), s.k);
+    EXPECT_EQ(before.rep_ids, ref_before.rep_ids);
+    EXPECT_EQ(before.distances, ref_before.distances);
+
+    cluster::TopKDistances after = before;
+    std::vector<uint32_t> dirty;
+    cluster::RelaxTopK(points, reps, s.base, &after, &dirty);
+    cluster::TopKDistances ref = ComputeTopKScalar(points, reps, before.k);
+    EXPECT_EQ(after.rep_ids, ref.rep_ids);
+    EXPECT_EQ(after.distances, ref.distances);
+
+    std::vector<uint32_t> changed;
+    for (size_t i = 0; i < s.records; ++i) {
+      for (size_t j = 0; j < after.k; ++j) {
+        if (after.RepId(i, j) != before.RepId(i, j) ||
+            after.Dist(i, j) != before.Dist(i, j)) {
+          changed.push_back(static_cast<uint32_t>(i));
+          break;
+        }
+      }
+    }
+    std::sort(dirty.begin(), dirty.end());
+    EXPECT_EQ(dirty, changed);
+
+    // Called from inside a pool task, the relax runs the whole range on
+    // one thread in 256-record chunks; the answer must not change.
+    cluster::TopKDistances nested = before;
+    std::vector<uint32_t> nested_dirty;
+    ParallelForDynamic(0, 2, [&](size_t lo, size_t, size_t) {
+      if (lo == 0) {
+        cluster::RelaxTopK(points, reps, s.base, &nested, &nested_dirty);
+      }
+    }, 1);
+    EXPECT_EQ(nested.rep_ids, ref.rep_ids);
+    EXPECT_EQ(nested.distances, ref.distances);
+    std::sort(nested_dirty.begin(), nested_dirty.end());
+    EXPECT_EQ(nested_dirty, changed);
+  }
+}
+
 TEST(KernelsTest, FpfDeterministicVsScalarOnSeedDataset) {
   data::DatasetOptions opts;
   opts.num_records = 1200;

@@ -6,7 +6,8 @@
 //
 // ns_per_op is nanoseconds per full kernel invocation over the stated
 // shape (one top-k pass over n x reps, one FPF relax over n points, one
-// m x n GemmBT), median of repeated timed runs.
+// crack of new reps into n records' min-k lists, one m x n GemmBT),
+// median of repeated timed runs.
 
 #include <algorithm>
 #include <cmath>
@@ -128,6 +129,29 @@ int main(int argc, char** argv) {
                       }
                       center = arg;
                       asm volatile("" ::"r"(min_d2.data()));
+                    })});
+  }
+
+  // --- crack relax: n records' min-k lists over r0 reps take r1 new reps ---
+  // The timed op copies the base lists and merges the new reps into them,
+  // as one crack of r1 labelled records does; the copy is on both sides.
+  {
+    const size_t n = 20000, r0 = 1000, r1 = 2000;
+    const nn::Matrix points = RandomPoints(n, kDim, 21);
+    const nn::Matrix reps = RandomPoints(r0 + r1, kDim, 22);
+    std::vector<size_t> base_rows(r0);
+    for (size_t i = 0; i < r0; ++i) base_rows[i] = i;
+    const cluster::TopKDistances base =
+        cluster::ComputeTopK(points, reps.GatherRows(base_rows), 5);
+    rows.push_back({"crack_relax_scalar", n, kDim, MedianNsPerOp([&] {
+                      cluster::TopKDistances topk = base;
+                      bench::RelaxTopKScalar(points, reps, r0, &topk);
+                      asm volatile("" ::"r"(topk.distances.data()));
+                    })});
+    rows.push_back({"crack_relax_blocked", n, kDim, MedianNsPerOp([&] {
+                      cluster::TopKDistances topk = base;
+                      cluster::RelaxTopK(points, reps, r0, &topk, nullptr);
+                      asm volatile("" ::"r"(topk.distances.data()));
                     })});
   }
 

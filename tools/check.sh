@@ -27,8 +27,10 @@
 #            behavior, integrity-footer corruption checks.
 #   tsan     ThreadSanitizer build of the tests whose value is concurrent
 #            correctness: the serving layer (epoch snapshots, cross-query
-#            oracle batching), obs counters/spans, the thread pool, and
-#            the retry/breaker state machine.
+#            oracle batching), obs counters/spans, the thread pool, the
+#            retry/breaker state machine, and the kernel/cluster suites
+#            (each pool worker writes one record chunk's min-k rows across
+#            all rep tiles in RelaxTopK, and FPF reduces per worker).
 #   monitor  live-telemetry smoke: `tasti_cli monitor` under a concurrent
 #            workload with a breach-everything SLO, then asserts the
 #            Prometheus exposition carries the expected metric families
@@ -164,8 +166,9 @@ stage_tsan() {
   require_sanitizer thread tsan
   configure build-tsan --preset tsan
   cmake --build build-tsan -j "$(nproc)" \
-    --target obs_test util_test serve_test faults_test shard_test
-  for t in obs_test util_test serve_test; do
+    --target obs_test util_test serve_test faults_test shard_test \
+             kernels_test cluster_test
+  for t in obs_test util_test serve_test kernels_test cluster_test; do
     echo "-- build-tsan/tests/$t"
     "build-tsan/tests/$t"
   done
